@@ -24,7 +24,6 @@ from .gf2 import (
     AffineSpace,
     Field2s,
     Gf2Matrix,
-    affine_element,
     eval_matrix,
     field_make,
     row_assemble,

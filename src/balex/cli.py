@@ -375,6 +375,8 @@ def amplify_cmd(config_path, **flags) -> None:
         save_list(alist, cfg["out_path"], _file_digest(graph_file))
     if cfg.get("bset_path") or cfg.get("oracle"):
         members = _resolve_bset(cfg, graph)
+        if not members:
+            raise ParameterError("survival scoring needs a non-empty B")
         fraction = survival_fraction(alist, members)
         ok = survival_ok(fraction, epsilon)
         click.echo(f"survival_fraction={fraction} {'PASS' if ok else 'FAIL'}")

@@ -339,7 +339,3 @@ def solve_affine(mat: Gf2Matrix, z: int) -> AffineSpace | None:
         basis.append(vec)
     return AffineSpace(n, particular, tuple(basis))
 
-
-def affine_element(space: AffineSpace, i: int) -> int:
-    """The i-th solution under the canonical basis indexing."""
-    return space.element(i)

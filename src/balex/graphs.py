@@ -40,33 +40,86 @@ def _entry_dtype(m: int):
     return np.uint64
 
 
+class TableBackend:
+    """Explicit table of every right endpoint, indexed by ``(x << d) | y``."""
+
+    kind = "table"
+
+    def __init__(self, n: int, d: int, m: int, table: np.ndarray):
+        if n + d > MAX_TABLE_BITS:
+            raise CapacityError(
+                f"table with n+d={n + d} bits exceeds the {MAX_TABLE_BITS}-bit budget"
+            )
+        expected = 1 << (n + d)
+        if table.ndim != 1 or table.size != expected:
+            raise FormatError(f"table must hold {expected} entries, got {table.size}")
+        if m < 64 and int(table.max()) >> m:
+            raise FormatError("table entry exceeds m bits")
+        table.setflags(write=False)
+        self.n = n
+        self.d = d
+        self.m = m
+        self.table = table
+
+    def eval(self, x: int, y: int) -> int:
+        return int(self.table[(x << self.d) | y])
+
+    def rows(self, m_k: int, members: np.ndarray | None = None) -> np.ndarray:
+        """Images truncated to m_k bits, one row per left node (all, or the members)."""
+        rows = self.table.reshape(1 << self.n, 1 << self.d)
+        if members is not None:
+            rows = rows[members]
+        return (rows >> (self.m - m_k)).astype(np.int64)
+
+    def degree_counts(self, m_k: int) -> np.ndarray:
+        return np.bincount(self.rows(m_k).ravel(), minlength=1 << m_k)
+
+    def right_degree(self, m_k: int, z: int) -> int:
+        return int(np.count_nonzero(self.rows(m_k) == z))
+
+    def blocks(self, m_k: int, pairs, Delta: int) -> list[tuple[list[int], bool]]:
+        """Canonical block and padded flag per (edge label, right node) pair.
+
+        A block is the first Delta distinct left neighbors of the right node
+        over every edge label, ascending, repeated cyclically when fewer
+        exist.  The table is scanned once per distinct right node.
+        """
+        pref = self.rows(m_k).ravel()
+        neighbors: dict[int, np.ndarray] = {}
+        out = []
+        for _, p in pairs:
+            xs = neighbors.get(p)
+            if xs is None:
+                xs = neighbors[p] = np.unique(np.nonzero(pref == p)[0] >> self.d)
+            out.append((xs[np.arange(Delta) % xs.size].tolist(), xs.size < Delta))
+        return out
+
+    def payload(self) -> bytes:
+        entry_bytes = (self.m + 7) // 8
+        wide = self.table.astype("<u8").reshape(-1, 1).view(np.uint8)
+        return bytes([_BACKEND_TABLE]) + wide[:, :entry_bytes].tobytes()
+
+
 class ExtractorGraph:
-    """Total function {0,1}^n x {0,1}^d -> {0,1}^m with a table or linear backend."""
+    """Total function {0,1}^n x {0,1}^d -> {0,1}^m with a table or linear backend.
+
+    Both backends answer the same calls (``eval``, ``rows``,
+    ``degree_counts``, ``right_degree``, ``blocks``, ``payload``); every
+    right-side argument is a prefix length ``m_k`` and results are truncated
+    to it.
+    """
 
     def __init__(self, n: int, d: int, m: int, *, table=None, family=None):
         if n < 1 or d < 0 or m < 1:
             raise ParameterError(f"bad dimensions n={n} d={d} m={m}")
         if (table is None) == (family is None):
             raise ParameterError("exactly one of table/family must be given")
+        if family is not None and family.m != m:
+            raise ParameterError(f"family produces {family.m}-bit outputs, graph wants {m}")
         self.n = n
         self.d = d
         self.m = m
-        self._table = table
-        self._family = family
-        if table is not None:
-            if n + d > MAX_TABLE_BITS:
-                raise CapacityError(
-                    f"table with n+d={n + d} bits exceeds the {MAX_TABLE_BITS}-bit budget"
-                )
-            expected = 1 << (n + d)
-            if table.ndim != 1 or table.size != expected:
-                raise FormatError(f"table must hold {expected} entries, got {table.size}")
-            if m < 64 and int(table.max()) >> m:
-                raise FormatError("table entry exceeds m bits")
-            table.setflags(write=False)
-        else:
-            if family.m != m:
-                raise ParameterError(f"family produces {family.m}-bit outputs, graph wants {m}")
+        self.backend = family if table is None else TableBackend(n, d, m, table)
 
     @property
     def a(self) -> int:
@@ -78,27 +131,25 @@ class ExtractorGraph:
 
     @property
     def backend_kind(self) -> str:
-        return "table" if self._table is not None else "linear"
+        return self.backend.kind
 
     @property
     def table(self) -> np.ndarray:
-        if self._table is None:
+        if not isinstance(self.backend, TableBackend):
             raise BackendError("graph has a linear backend, no explicit table")
-        return self._table
+        return self.backend.table
 
     @property
     def family(self):
-        if self._family is None:
+        if isinstance(self.backend, TableBackend):
             raise BackendError("graph has a table backend, no linear family")
-        return self._family
+        return self.backend
 
     def ext_eval(self, x: int, y: int) -> int:
         """Right endpoint of the y-labeled edge out of x."""
         check_bits(x, self.n, "left node")
         check_bits(y, self.d, "edge label")
-        if self._table is not None:
-            return int(self._table[(x << self.d) | y])
-        return self._family.matrix(y).mat_vec(x)
+        return self.backend.eval(x, y)
 
     def prefix_view(self, k: int) -> "PrefixView":
         return PrefixView(self, k)
@@ -132,29 +183,12 @@ class PrefixView:
     def neighbors(self, x: int) -> list[int]:
         """Neighbor multiset of x, one entry per edge label in increasing label order."""
         check_bits(x, self.graph.n, "left node")
-        g = self.graph
-        shift = g.m - self.m_k
-        if g.backend_kind == "table":
-            row = g.table[(x << g.d) : ((x + 1) << g.d)]
-            return [int(v) >> shift for v in row]
-        return [g.ext_eval(x, y) >> shift for y in range(g.degree)]
+        return self.graph.backend.rows(self.m_k, np.array([x], dtype=np.int64))[0].tolist()
 
     def right_degree(self, z: int) -> int:
         """Number of (x, y) pairs whose truncated image is z."""
         check_bits(z, self.m_k, "right node")
-        g = self.graph
-        if g.backend_kind == "table":
-            shift = g.m - self.m_k
-            return int(np.count_nonzero((g.table >> shift).astype(np.int64) == z))
-        from .gf2 import solve_affine
-
-        total = 0
-        for y in range(g.degree):
-            trunc = g.family.matrix(y).truncate_rows(self.m_k)
-            space = solve_affine(trunc, z)
-            if space is not None:
-                total += space.size()
-        return total
+        return self.graph.backend.right_degree(self.m_k, z)
 
     def degree_counts(self) -> np.ndarray:
         """Right-degree histogram indexed by right label; exhaustive."""
@@ -162,23 +196,7 @@ class PrefixView:
             raise CapacityError(
                 f"right side of 2^{self.m_k} nodes exceeds the 2^{MAX_RIGHT_BITS} budget"
             )
-        g = self.graph
-        if g.backend_kind == "table":
-            shift = g.m - self.m_k
-            pref = (g.table >> shift).astype(np.int64)
-            return np.bincount(pref, minlength=self.r_size)
-        counts = np.zeros(self.r_size, dtype=np.int64)
-        for y in range(g.degree):
-            trunc = g.family.matrix(y).truncate_rows(self.m_k)
-            members = _span_members([trunc.column(j) for j in range(trunc.cols)])
-            rank = members.size.bit_length() - 1
-            counts[members] += 1 << (g.n - rank)
-        return counts
-
-    def min_nonzero_right_degree(self) -> int:
-        counts = self.degree_counts()
-        nz = counts[counts > 0]
-        return int(nz.min()) if nz.size else 0
+        return self.graph.backend.degree_counts(self.m_k)
 
     def prefixed_rows(self) -> np.ndarray:
         """(2^n, D) array of truncated images; the hot-loop input layout."""
@@ -187,56 +205,11 @@ class PrefixView:
             raise CapacityError(
                 f"materializing 2^{g.n + g.d} edges exceeds the {MAX_TABLE_BITS}-bit budget"
             )
-        shift = g.m - self.m_k
-        if g.backend_kind == "table":
-            return (g.table.reshape(1 << g.n, g.degree) >> shift).astype(np.int64)
-        out = np.empty((1 << g.n, g.degree), dtype=np.int64)
-        for y in range(g.degree):
-            trunc = g.family.matrix(y).truncate_rows(self.m_k)
-            out[:, y] = _linear_output_column(trunc, g.n)
-        return out
+        return g.backend.rows(self.m_k)
 
     def member_rows(self, members: np.ndarray) -> np.ndarray:
         """(len(members), D) array of truncated images for selected left nodes."""
-        g = self.graph
-        if g.backend_kind == "table":
-            table = g.table.reshape(1 << g.n, g.degree)
-            return (table[members] >> (g.m - self.m_k)).astype(np.int64)
-        out = np.empty((len(members), g.degree), dtype=np.int64)
-        for y in range(g.degree):
-            trunc = g.family.matrix(y).truncate_rows(self.m_k)
-            out[:, y] = [trunc.mat_vec(int(x)) for x in members]
-        return out
-
-
-def _span_members(vectors: list[int]) -> np.ndarray:
-    """All members of the GF(2) span of the given vectors (size 2^rank)."""
-    slots: dict[int, int] = {}
-    for v in vectors:
-        while v:
-            lead = v.bit_length() - 1
-            if lead not in slots:
-                slots[lead] = v
-                break
-            v ^= slots[lead]
-    basis = list(slots.values())
-    members = np.zeros(1 << len(basis), dtype=np.int64)
-    size = 1
-    for b in basis:
-        members[size : 2 * size] = members[:size] ^ b
-        size *= 2
-    return members
-
-
-def _linear_output_column(trunc, n: int) -> np.ndarray:
-    """Outputs of a linear map on every x in 0..2^n-1 via subset-xor doubling."""
-    out = np.zeros(1 << n, dtype=np.int64)
-    size = 1
-    for bit in range(n):
-        img = trunc.mat_vec(1 << bit)
-        out[size : 2 * size] = out[:size] ^ img
-        size *= 2
-    return out
+        return self.graph.backend.rows(self.m_k, members)
 
 
 @dataclass(frozen=True)
@@ -299,15 +272,7 @@ def serialize(graph: ExtractorGraph) -> bytes:
     head = BGEX_MAGIC + struct.pack(
         "<HIII", BGEX_VERSION, graph.n, graph.d, graph.m
     )
-    if graph.backend_kind == "table":
-        entry_bytes = (graph.m + 7) // 8
-        wide = graph.table.astype("<u8").reshape(-1, 1).view(np.uint8)
-        payload = wide[:, :entry_bytes].tobytes()
-        return head + bytes([_BACKEND_TABLE]) + payload
-    descriptor = json.dumps(
-        graph.family.descriptor(), sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
-    return head + bytes([_BACKEND_LINEAR]) + struct.pack("<I", len(descriptor)) + descriptor
+    return head + graph.backend.payload()
 
 
 def deserialize(data: bytes) -> ExtractorGraph:

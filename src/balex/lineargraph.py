@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, log2
@@ -30,15 +31,10 @@ from math import ceil, log2
 import numpy as np
 
 from .bitstrings import check_bits
-from .errors import BackendError, CapacityError, FormatError, ParameterError
+from .errors import CapacityError, FormatError, InvariantError, ParameterError
 from .exact import ceil_log2, ceil_scaled_sqrt
 from .gf2 import AffineSpace, Field2s, Gf2Matrix, field_make, row_assemble, solve_affine
-from .graphs import (
-    MAX_TABLE_BITS,
-    ExtractorGraph,
-    _entry_dtype,
-    _linear_output_column,
-)
+from .graphs import _BACKEND_LINEAR, MAX_TABLE_BITS, ExtractorGraph, _entry_dtype
 
 COUNTER_SCHEME = "counter"
 EXTERNAL_SCHEME = "external"
@@ -131,7 +127,9 @@ def save_pair_table(path, s: int, m: int, pairs: list[list[tuple[int, int]]]) ->
 
 
 class LinearFamily:
-    """Matrix family for one graph; matrices are cached per edge label."""
+    """The linear backend: one GF(2) matrix per edge label, cached per label."""
+
+    kind = "linear"
 
     def __init__(self, n: int, d: int, expansion: SeedExpansion):
         self.n = n
@@ -154,6 +152,93 @@ class LinearFamily:
 
     def descriptor(self) -> dict:
         return self.expansion.descriptor()
+
+    def eval(self, x: int, y: int) -> int:
+        return self.matrix(y).mat_vec(x)
+
+    def preimages(self, m_k: int, y: int, z: int) -> AffineSpace | None:
+        return solve_affine(self.matrix(y).truncate_rows(m_k), z)
+
+    def rows(self, m_k: int, members: np.ndarray | None = None) -> np.ndarray:
+        """Images truncated to m_k bits, one row per left node (all, or the members)."""
+        count = 1 << self.n if members is None else len(members)
+        out = np.empty((count, 1 << self.d), dtype=np.int64)
+        for y in range(1 << self.d):
+            trunc = self.matrix(y).truncate_rows(m_k)
+            if members is None:
+                out[:, y] = _linear_output_column(trunc, self.n)
+            else:
+                out[:, y] = [trunc.mat_vec(int(x)) for x in members]
+        return out
+
+    def degree_counts(self, m_k: int) -> np.ndarray:
+        """Every label's image is a subspace hit 2^(n - rank) times per member."""
+        counts = np.zeros(1 << m_k, dtype=np.int64)
+        for y in range(1 << self.d):
+            trunc = self.matrix(y).truncate_rows(m_k)
+            members = _span_members([trunc.column(j) for j in range(trunc.cols)])
+            rank = members.size.bit_length() - 1
+            counts[members] += 1 << (self.n - rank)
+        return counts
+
+    def right_degree(self, m_k: int, z: int) -> int:
+        total = 0
+        for y in range(1 << self.d):
+            space = self.preimages(m_k, y, z)
+            if space is not None:
+                total += space.size()
+        return total
+
+    def blocks(self, m_k: int, pairs, Delta: int) -> list[tuple[list[int], bool]]:
+        """Canonical block and padded flag per (edge label, right node) pair.
+
+        A block is the first Delta preimages of the right node under its own
+        edge label in affine index order, repeated cyclically when fewer exist.
+        """
+        out = []
+        for y, p in pairs:
+            space = self.preimages(m_k, y, p)
+            if space is None:
+                raise InvariantError(f"right node {p:#x} unreachable although an edge lands there")
+            size = space.size()
+            out.append(([space.element(i % size) for i in range(Delta)], size < Delta))
+        return out
+
+    def payload(self) -> bytes:
+        descriptor = json.dumps(
+            self.descriptor(), sort_keys=True, separators=(",", ":")
+        ).encode("utf-8")
+        return bytes([_BACKEND_LINEAR]) + struct.pack("<I", len(descriptor)) + descriptor
+
+
+def _span_members(vectors: list[int]) -> np.ndarray:
+    """All members of the GF(2) span of the given vectors (size 2^rank)."""
+    slots: dict[int, int] = {}
+    for v in vectors:
+        while v:
+            lead = v.bit_length() - 1
+            if lead not in slots:
+                slots[lead] = v
+                break
+            v ^= slots[lead]
+    basis = list(slots.values())
+    members = np.zeros(1 << len(basis), dtype=np.int64)
+    size = 1
+    for b in basis:
+        members[size : 2 * size] = members[:size] ^ b
+        size *= 2
+    return members
+
+
+def _linear_output_column(trunc: Gf2Matrix, n: int) -> np.ndarray:
+    """Outputs of a linear map on every x in 0..2^n-1 via subset-xor doubling."""
+    out = np.zeros(1 << n, dtype=np.int64)
+    size = 1
+    for bit in range(n):
+        img = trunc.mat_vec(1 << bit)
+        out[size : 2 * size] = out[:size] ^ img
+        size *= 2
+    return out
 
 
 def family_from_descriptor(descriptor: dict, *, n: int, d: int) -> LinearFamily:
@@ -229,13 +314,12 @@ def linearity_check(
     Exhaustive for n <= 16 (checks every x against the span of the unit
     images, which is equivalent to full additivity); sampled pairs otherwise.
     """
-    if graph.backend_kind != "linear":
-        raise BackendError("linearity_check needs a linear backend")
+    family = graph.family
     if graph.ext_eval(0, y) != 0:
         return False
     n = graph.n
     if n <= 16:
-        filled = _linear_output_column(graph.family.matrix(y), n)
+        filled = _linear_output_column(family.matrix(y), n)
         for x in range(1 << n):
             if graph.ext_eval(x, y) != int(filled[x]):
                 return False
@@ -279,17 +363,13 @@ def left_neighbors_indexed(
     Returns None when z has fewer than Delta preimages under label y
     (including the unreachable case).
     """
-    if graph.backend_kind != "linear":
-        raise BackendError("left_neighbors_indexed needs a linear backend")
+    family = graph.family
     if Delta < 1:
         raise ParameterError(f"Delta must be positive, got {Delta}")
-    m_t = t - graph.a
-    if not 1 <= t <= graph.n or m_t < 1 or m_t > graph.m:
-        raise ParameterError(f"threshold t={t} gives invalid prefix length {m_t}")
+    m_t = graph.prefix_view(t).m_k
     check_bits(z, m_t, "right node")
     check_bits(y, graph.d, "edge label")
-    trunc = graph.family.matrix(y).truncate_rows(m_t)
-    space = solve_affine(trunc, z)
+    space = family.preimages(m_t, y, z)
     if space is None or space.size() < Delta:
         return None
     return PreimageList(z, y, space, Delta)
@@ -305,13 +385,11 @@ def delta_guarantee(
     bound); a handful of sampled (z, y) pairs are additionally solved and
     counted as a self-check.
     """
-    if graph.backend_kind != "linear":
-        raise BackendError("delta_guarantee needs a linear backend")
+    family = graph.family
     if Delta < 1:
         raise ParameterError(f"Delta must be positive, got {Delta}")
-    m_t = t - graph.a
-    if not 1 <= t <= graph.n or m_t < 1 or m_t > graph.m:
-        raise ParameterError(f"threshold t={t} gives invalid prefix length {m_t}")
+    view = graph.prefix_view(t)
+    m_t = view.m_k
     free = graph.n - m_t
     if free < 0:
         return Delta <= 1
@@ -321,9 +399,8 @@ def delta_guarantee(
     for _ in range(samples):
         y = int(rng.integers(0, graph.degree))
         x = int(rng.integers(0, 1 << graph.n, dtype=np.uint64))
-        z = graph.prefix_view(t).ext_eval(x, y)
-        trunc = graph.family.matrix(y).truncate_rows(m_t)
-        space = solve_affine(trunc, z)
+        z = view.ext_eval(x, y)
+        space = family.preimages(m_t, y, z)
         if space is None or space.size() < Delta:
             return False
     return True
@@ -331,14 +408,10 @@ def delta_guarantee(
 
 def dump_to_table(graph: ExtractorGraph) -> ExtractorGraph:
     """Materialize a linear graph as an explicit table with identical outputs."""
-    if graph.backend_kind != "linear":
-        raise BackendError("dump_to_table needs a linear backend")
+    family = graph.family
     if graph.n + graph.d > MAX_TABLE_BITS:
         raise CapacityError(
             f"dump of 2^{graph.n + graph.d} entries exceeds the {MAX_TABLE_BITS}-bit budget"
         )
-    out = np.empty((1 << graph.n, graph.degree), dtype=np.int64)
-    for y in range(graph.degree):
-        out[:, y] = _linear_output_column(graph.family.matrix(y), graph.n)
-    table = out.ravel().astype(_entry_dtype(graph.m))
+    table = family.rows(graph.m).ravel().astype(_entry_dtype(graph.m))
     return ExtractorGraph(graph.n, graph.d, graph.m, table=table)

@@ -23,7 +23,6 @@ import numpy as np
 from .bitstrings import check_bits, from_hex, to_hex
 from .errors import FormatError, InvariantError, ParameterError
 from .exact import ge_scaled_sqrt, le_scaled_sqrt
-from .gf2 import solve_affine
 from .graphs import BalanceParams, ExtractorGraph, PrefixView
 
 
@@ -45,32 +44,24 @@ def survival_ok(fraction: Fraction, epsilon: Fraction) -> bool:
     return le_scaled_sqrt(1 - Fraction(fraction), Fraction(2), Fraction(epsilon))
 
 
-def _checked_members(view: PrefixView, B) -> list[int]:
+def _checked_members(n: int, B) -> list[int]:
     members = sorted(set(B))
     for x in members:
-        check_bits(x, view.graph.n, "member of B")
+        check_bits(x, n, "member of B")
     return members
 
 
-def _b_degree_counts(view: PrefixView, members: list[int]) -> np.ndarray:
-    rows = view.member_rows(np.asarray(members, dtype=np.int64))
-    return np.bincount(rows.ravel(), minlength=view.r_size)
-
-
-def classify_heavy(view: PrefixView, B, epsilon: Fraction) -> frozenset[int]:
-    """Right nodes whose B-restricted degree exceeds the light threshold.
+def _classify(
+    view: PrefixView, members: list[int], epsilon: Fraction
+) -> tuple[np.ndarray, frozenset[int]]:
+    """Member rows of a non-empty, checked B and its heavy right nodes.
 
     The counting consequence |heavy| <= eps * |R| is asserted; its failure
     would mean a tallying bug, not bad input.
     """
-    epsilon = Fraction(epsilon)
-    if epsilon <= 0:
-        raise ParameterError(f"epsilon must be positive, got {epsilon}")
-    members = _checked_members(view, B)
-    if not members:
-        return frozenset()
+    rows = view.member_rows(np.asarray(members, dtype=np.int64))
     threshold = light_threshold(epsilon, len(members), view.graph.degree, view.r_size)
-    counts = _b_degree_counts(view, members)
+    counts = np.bincount(rows.ravel(), minlength=view.r_size)
     num, den = threshold.numerator, threshold.denominator
     heavy = frozenset(
         int(z) for z in np.nonzero(counts)[0] if int(counts[z]) * den > num
@@ -79,24 +70,40 @@ def classify_heavy(view: PrefixView, B, epsilon: Fraction) -> frozenset[int]:
         raise InvariantError(
             f"heavy set of size {len(heavy)} exceeds eps*|R| = {epsilon * view.r_size}"
         )
-    return heavy
+    return rows, heavy
 
 
-def bad_set(view: PrefixView, B, epsilon: Fraction) -> frozenset[int]:
-    """Members of B with at least a sqrt(eps) fraction of their edges on heavy nodes."""
-    members = _checked_members(view, B)
-    if not members:
-        return frozenset()
-    heavy = classify_heavy(view, members, epsilon)
-    epsilon = Fraction(epsilon)
-    degree = view.graph.degree
-    rows = view.member_rows(np.asarray(members, dtype=np.int64))
+def _bad(
+    members: list[int], rows: np.ndarray, heavy: frozenset[int], epsilon: Fraction
+) -> frozenset[int]:
+    degree = rows.shape[1]
     bad = []
     for x, row in zip(members, rows):
         hits = sum(1 for z in row if int(z) in heavy)
         if ge_scaled_sqrt(Fraction(hits), Fraction(degree), epsilon):
             bad.append(x)
     return frozenset(bad)
+
+
+def classify_heavy(view: PrefixView, B, epsilon: Fraction) -> frozenset[int]:
+    """Right nodes whose B-restricted degree exceeds the light threshold."""
+    epsilon = Fraction(epsilon)
+    if epsilon <= 0:
+        raise ParameterError(f"epsilon must be positive, got {epsilon}")
+    members = _checked_members(view.graph.n, B)
+    if not members:
+        return frozenset()
+    return _classify(view, members, epsilon)[1]
+
+
+def bad_set(view: PrefixView, B, epsilon: Fraction) -> frozenset[int]:
+    """Members of B with at least a sqrt(eps) fraction of their edges on heavy nodes."""
+    members = _checked_members(view.graph.n, B)
+    if not members:
+        return frozenset()
+    epsilon = Fraction(epsilon)
+    rows, heavy = _classify(view, members, epsilon)
+    return _bad(members, rows, heavy, epsilon)
 
 
 @dataclass
@@ -139,7 +146,7 @@ def congestion_report(
     graph: ExtractorGraph, B, epsilon: Fraction, t: int
 ) -> CongestionReport:
     """Classify B in the prefix graph at s = floor(log2 |B|); requires s <= t."""
-    members = sorted(set(B))
+    members = _checked_members(graph.n, B)
     if not members:
         raise ParameterError("congestion analysis needs a non-empty B")
     s = len(members).bit_length() - 1
@@ -150,8 +157,7 @@ def congestion_report(
         )
     view = graph.prefix_view(s)
     epsilon = Fraction(epsilon)
-    heavy = classify_heavy(view, members, epsilon)
-    bad = bad_set(view, members, epsilon)
+    rows, heavy = _classify(view, members, epsilon)
     return CongestionReport(
         n=graph.n,
         right_bits=view.m_k,
@@ -160,7 +166,7 @@ def congestion_report(
         epsilon=epsilon,
         threshold=light_threshold(epsilon, len(members), graph.degree, view.r_size),
         heavy_set=heavy,
-        bad_set=bad,
+        bad_set=_bad(members, rows, heavy, epsilon),
     )
 
 
@@ -190,31 +196,6 @@ class AmplifiedList:
         return len(self.elements)
 
 
-def _table_left_neighbors(view: PrefixView, wanted: set[int]) -> dict[int, np.ndarray]:
-    """Distinct left neighbors (ascending) of each wanted right node, any label."""
-    g = view.graph
-    pref = (g.table >> (g.m - view.m_k)).astype(np.int64)
-    out = {}
-    for p in wanted:
-        hits = np.nonzero(pref == p)[0]
-        out[p] = np.unique(hits >> g.d)
-    return out
-
-
-def _linear_block(graph: ExtractorGraph, p: int, y: int, Delta: int, t: int):
-    from .lineargraph import left_neighbors_indexed
-
-    pl = left_neighbors_indexed(graph, p, y, Delta, t)
-    if pl is not None:
-        return list(pl), False
-    trunc = graph.family.matrix(y).truncate_rows(t - graph.a)
-    space = solve_affine(trunc, p)
-    if space is None:
-        raise InvariantError(f"right node {p:#x} unreachable although an edge lands there")
-    size = space.size()
-    return [space.element(i % size) for i in range(Delta)], True
-
-
 def amplify(graph: ExtractorGraph, params: BalanceParams, x: int) -> AmplifiedList:
     """Two-step list: all neighbors of x at prefix t, then the first Delta
     canonical left-neighbors of each (cyclically padded and flagged if a
@@ -223,33 +204,16 @@ def amplify(graph: ExtractorGraph, params: BalanceParams, x: int) -> AmplifiedLi
     check_bits(x, graph.n, "input")
     view = graph.prefix_view(params.t)
     labels = view.neighbors(x)
-    elements: list[int] = []
-    padded_at: list[int] = []
-    if graph.backend_kind == "table":
-        neighbor_map = _table_left_neighbors(view, set(labels))
-        for y, p in enumerate(labels):
-            xs = neighbor_map[p]
-            if xs.size >= params.Delta:
-                block = [int(v) for v in xs[: params.Delta]]
-            else:
-                block = [int(xs[i % xs.size]) for i in range(params.Delta)]
-                padded_at.append(y)
-            elements.extend(block)
-    else:
-        for y, p in enumerate(labels):
-            block, padded = _linear_block(graph, p, y, params.Delta, params.t)
-            if padded:
-                padded_at.append(y)
-            elements.extend(block)
+    blocks = graph.backend.blocks(view.m_k, enumerate(labels), params.Delta)
     return AmplifiedList(
         x=x,
         n=graph.n,
         degree=graph.degree,
         Delta=params.Delta,
         t=params.t,
-        elements=tuple(elements),
+        elements=tuple(e for block, _ in blocks for e in block),
         segment_labels=tuple(labels),
-        padded_labels=tuple(padded_at),
+        padded_labels=tuple(y for y, (_, padded) in enumerate(blocks) if padded),
     )
 
 
@@ -265,13 +229,7 @@ def list_element(graph: ExtractorGraph, params: BalanceParams, x: int, i: int) -
         raise IndexError(f"list index {i} outside 0..{total - 1}")
     y, j = divmod(i, params.Delta)
     view = graph.prefix_view(params.t)
-    p = view.ext_eval(x, y)
-    if graph.backend_kind == "table":
-        xs = _table_left_neighbors(view, {p})[p]
-        if xs.size >= params.Delta:
-            return int(xs[j])
-        return int(xs[j % xs.size])
-    block, _ = _linear_block(graph, p, y, params.Delta, params.t)
+    block, _ = graph.backend.blocks(view.m_k, [(y, view.ext_eval(x, y))], params.Delta)[0]
     return block[j]
 
 

@@ -117,6 +117,21 @@ def _heavy_side_witness(rows: np.ndarray, r_size: int) -> tuple[int, ...]:
     return tuple(int(z) for z in np.nonzero(counts * r_size > edges)[0])
 
 
+def _comb_exceeds(n: int, k: int, limit: int) -> bool:
+    """Whether C(n, k) > limit, without forming C(n, k) once it passes limit.
+
+    The partial product after step i is C(n - k + i, i), which never
+    decreases in i, so the first one over limit decides.
+    """
+    k = min(k, n - k)
+    value = 1
+    for i in range(1, k + 1):
+        if value > limit:
+            return True
+        value = value * (n - k + i) // i
+    return value > limit
+
+
 def verify_extractor_exact(
     graph: ExtractorGraph,
     k: int,
@@ -128,13 +143,10 @@ def verify_extractor_exact(
     if epsilon < 0:
         raise ParameterError(f"epsilon must be >= 0, got {epsilon}")
     view = graph.prefix_view(k)
-    n_left = 1 << graph.n
     subset_size = 1 << k
-    n_subsets = math.comb(n_left, subset_size)
-    if n_subsets > max_subsets:
+    if _comb_exceeds(1 << graph.n, subset_size, max_subsets):
         raise CapacityError(
-            f"enumerating C(2^{graph.n}, 2^{k}) = {n_subsets} subsets exceeds "
-            f"the budget of {max_subsets}"
+            f"enumerating C(2^{graph.n}, 2^{k}) subsets exceeds the budget of {max_subsets}"
         )
     rows = view.prefixed_rows()
     worst_num, best = _kernels.worst_subset_deviation(rows, subset_size, view.r_size)

@@ -87,6 +87,19 @@ def test_capacity_with_sampled_fallback_passes(built, tmp_path):
     assert kinds[4] == "extractor-exact"  # C(16,16) = 1 fits any budget
 
 
+def test_sampled_fallback_past_int_to_str_limit(tmp_path):
+    # C(2^20, 2^12) is too large to print; the budget check must not try
+    graph = tmp_path / "g20.bgex"
+    balex.save_graph(balex.sample_table(20, 1, 20, seed=0), graph)
+    code = run_cli(
+        "verify", "--graph", graph, "--epsilon", "1/4", "--k-min", 12, "--k-max", 12,
+        "--sampled-trials", 2, "--out", tmp_path / "r.json",
+    )
+    doc = json.loads((tmp_path / "r.json").read_text())
+    assert [rep["kind"] for rep in doc["reports"]] == ["extractor-sampled"]
+    assert code == (0 if doc["pass"] else 2)
+
+
 # --- build-random -------------------------------------------------------------
 
 
@@ -266,6 +279,16 @@ def test_amplify_with_bset_prints_survival(built, tmp_path, capsys):
     )
     assert code == 0
     assert "survival_fraction=" in capsys.readouterr().out
+
+
+def test_amplify_refuses_empty_b(built, tmp_path, capsys):
+    # toy-machine sets are empty for n >= 3 at caps <= 15
+    code = run_cli(
+        "amplify", "--graph", built, "--epsilon", "1/2", "--delta-blocks", 2,
+        "--t", 3, "--x", "0", "--oracle", "toy", "--k", 9, "--cap", 12,
+    )
+    assert code == 2
+    assert "survival_fraction" not in capsys.readouterr().out
 
 
 def test_console_script_subprocess_determinism(tmp_path):

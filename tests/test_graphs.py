@@ -153,11 +153,23 @@ def test_right_degrees_match_brute_force(table_graph):
 
 def test_linear_backend_degrees_match_dumped_table(linear_graph_12):
     dumped = balex.dump_to_table(linear_graph_12)
+    rng = np.random.Generator(np.random.Philox(key=12))
+    xs = [int(x) for x in rng.integers(0, 1 << 12, size=40)]
+    members = np.array(sorted(set(xs)), dtype=np.int64)
     for k in (6, 9, 12):
         lin = linear_graph_12.prefix_view(k)
         tab = dumped.prefix_view(k)
         assert np.array_equal(lin.degree_counts(), tab.degree_counts())
-        assert lin.min_nonzero_right_degree() == tab.min_nonzero_right_degree()
+        assert (
+            balex.verify_min_degree(linear_graph_12, k, 1).min_degree
+            == balex.verify_min_degree(dumped, k, 1).min_degree
+        )
+        for x in xs[:8]:
+            assert lin.neighbors(x) == tab.neighbors(x)
+            for y in (0, 5, 15):
+                assert lin.ext_eval(x, y) == tab.ext_eval(x, y)
+        assert np.array_equal(lin.prefixed_rows(), tab.prefixed_rows())
+        assert np.array_equal(lin.member_rows(members), tab.member_rows(members))
     lin = linear_graph_12.prefix_view(9)
     tab = dumped.prefix_view(9)
     for z in (0, 1, 17, 31):
@@ -167,10 +179,10 @@ def test_linear_backend_degrees_match_dumped_table(linear_graph_12):
 def test_min_nonzero_right_degree_examples(
     constant_table_graph, identity_table_graph, table_graph
 ):
-    assert constant_table_graph.prefix_view(2).min_nonzero_right_degree() == 64
-    assert identity_table_graph.prefix_view(4).min_nonzero_right_degree() == 4
+    assert balex.verify_min_degree(constant_table_graph, 2, 1).min_degree == 64
+    assert balex.verify_min_degree(identity_table_graph, 4, 1).min_degree == 4
     brute = brute_right_degrees(table_graph, 4)
-    assert table_graph.prefix_view(4).min_nonzero_right_degree() == min(brute.values())
+    assert balex.verify_min_degree(table_graph, 4, 1).min_degree == min(brute.values())
 
 
 def test_degree_counts_capacity_error():

@@ -10,6 +10,7 @@ from balex.errors import CapacityError, ParameterError
 from balex.randgraph import (
     AttemptRecord,
     BalancedSearchError,
+    _comb_exceeds,
     attempt_seed,
     newman_shepp_bound,
 )
@@ -151,6 +152,20 @@ def test_verify_exact_budget():
     g = balex.sample_table(5, 2, 5, seed=0)
     with pytest.raises(CapacityError):
         balex.verify_extractor_exact(g, 3, Fraction(1, 2), max_subsets=1000)
+    # the budget is exact: the early stop agrees with the full binomial
+    for n in range(12):
+        for k in range(n + 1):
+            c = math.comb(n, k)
+            assert not _comb_exceeds(n, k, c) and _comb_exceeds(n, k, c - 1)
+    # C(16, 8) = 12870 subsets
+    g = balex.sample_table(4, 2, 4, seed=0)
+    with pytest.raises(CapacityError):
+        balex.verify_extractor_exact(g, 3, Fraction(1, 2), max_subsets=12869)
+    balex.verify_extractor_exact(g, 3, Fraction(1, 2), max_subsets=12870)
+    # C(2^20, 2^12) has over 4300 digits, past Python's int-to-str limit
+    g = balex.sample_table(20, 1, 20, seed=0)
+    with pytest.raises(CapacityError):
+        balex.verify_extractor_exact(g, 12, Fraction(1, 4))
 
 
 def test_exact_size_subsets_suffice_by_convexity(table_graph):
