@@ -183,7 +183,8 @@ class PrefixView:
     def neighbors(self, x: int) -> list[int]:
         """Neighbor multiset of x, one entry per edge label in increasing label order."""
         check_bits(x, self.graph.n, "left node")
-        return self.graph.backend.rows(self.m_k, np.array([x], dtype=np.int64))[0].tolist()
+        g = self.graph
+        return [g.backend.eval(x, y) >> (g.m - self.m_k) for y in range(g.degree)]
 
     def right_degree(self, z: int) -> int:
         """Number of (x, y) pairs whose truncated image is z."""

@@ -59,6 +59,9 @@ def _classify(
     The counting consequence |heavy| <= eps * |R| is asserted; its failure
     would mean a tallying bug, not bad input.
     """
+    epsilon = Fraction(epsilon)
+    if epsilon <= 0:
+        raise ParameterError(f"epsilon must be positive, got {epsilon}")
     rows = view.member_rows(np.asarray(members, dtype=np.int64))
     threshold = light_threshold(epsilon, len(members), view.graph.degree, view.r_size)
     counts = np.bincount(rows.ravel(), minlength=view.r_size)
@@ -87,9 +90,6 @@ def _bad(
 
 def classify_heavy(view: PrefixView, B, epsilon: Fraction) -> frozenset[int]:
     """Right nodes whose B-restricted degree exceeds the light threshold."""
-    epsilon = Fraction(epsilon)
-    if epsilon <= 0:
-        raise ParameterError(f"epsilon must be positive, got {epsilon}")
     members = _checked_members(view.graph.n, B)
     if not members:
         return frozenset()

@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 import balex
 from balex.errors import ParameterError
 from balex.exact import le_scaled_sqrt
-from balex.graphs import BalanceParams, ExtractorGraph
+from balex.graphs import BalanceParams, ExtractorGraph, PrefixView
 from balex.listamp import (
     bad_bound_ok,
     light_threshold,
@@ -153,6 +154,24 @@ def test_congestion_report_guards():
         balex.congestion_report(g, {1}, Fraction(1, 4), t=3)  # s=0 -> no view
 
 
+def test_nonpositive_epsilon_refused_before_member_rows(monkeypatch):
+    g = balex.sample_table(4, 3, 4, seed=3)
+    B = set(range(8))
+
+    def no_rows(self, members):
+        raise AssertionError("member rows built before epsilon was checked")
+
+    monkeypatch.setattr(PrefixView, "member_rows", no_rows)
+    calls = (
+        lambda: balex.classify_heavy(g.prefix_view(3), B, Fraction(0)),
+        lambda: balex.bad_set(g.prefix_view(3), B, Fraction(-1, 4)),
+        lambda: balex.congestion_report(g, B, Fraction(0), t=3),
+    )
+    for call in calls:
+        with pytest.raises(ParameterError, match="epsilon must be positive"):
+            call()
+
+
 def test_congestion_on_linear_backend(linear_graph_12):
     # a = 4 so the view at s = floor(log2 |B|) needs |B| >= 2^5
     B = set(range(100, 164))  # size 64 -> s = 6
@@ -202,6 +221,32 @@ def test_amplify_linear_elements_satisfy_edge_equations(linear_graph_12):
     for y, p in enumerate(alist.segment_labels):
         for e in alist.block(y):
             assert view.ext_eval(e, y) == p
+
+
+@pytest.mark.parametrize("t, Delta", [(64, 2), (60, 16)])
+def test_amplify_linear_n64_inputs_past_int64(tmp_path, t, Delta):
+    # n = m = 64: inputs and right labels both reach past 2^63
+    from balex.lineargraph import save_pair_table
+
+    n, d = 64, 1
+    rng = random.Random(7)
+    rows = [[(rng.getrandbits(16), rng.getrandbits(16)) for _ in range(n)] for _ in range(2)]
+    path = tmp_path / "pairs.json"
+    save_pair_table(path, s=16, m=n, pairs=rows)
+    expansion = balex.SeedExpansion("external", s=16, m=n, table_path=str(path))
+    g = balex.linear_graph(n=n, d=d, expansion=expansion)
+    params = BalanceParams(epsilon=Fraction(1, 4), Delta=Delta, t=t)
+    view = g.prefix_view(t)
+    x = 2**63 + 1
+    labels = view.neighbors(x)
+    assert labels == [g.ext_eval(x, y) >> (n - view.m_k) for y in range(2)]
+    alist = balex.amplify(g, params, x)
+    assert alist.segment_labels == tuple(labels) and len(alist) == 2 * Delta
+    for y, p in enumerate(labels):
+        for e in alist.block(y):
+            assert view.ext_eval(e, y) == p
+    for i in range(len(alist)):
+        assert balex.list_element(g, params, x, i) == alist.elements[i]
 
 
 def test_amplify_padding_flag_and_totality():
