@@ -24,10 +24,8 @@ from .gf2 import (
     AffineSpace,
     Field2s,
     Gf2Matrix,
-    eval_matrix,
     field_make,
     row_assemble,
-    rs_eval,
     solve_affine,
 )
 from .lineargraph import (

@@ -19,14 +19,7 @@ from pathlib import Path
 import click
 
 from .bitstrings import from_hex, to_hex
-from .errors import (
-    BalexError,
-    CapacityError,
-    FormatError,
-    OracleRefusalError,
-    ParameterError,
-    ShapeError,
-)
+from .errors import BalexError, CapacityError, ParameterError
 from .graphs import BalanceParams, graph_digest, load_graph, save_graph
 from .lineargraph import (
     SeedExpansion,
@@ -46,6 +39,7 @@ from .listamp import (
 )
 from .oracles import ToyMachineOracle, bset, compressor_oracle, load_bset
 from .randgraph import (
+    DEFAULT_MAX_SUBSETS,
     GENERATOR_ID,
     BalancedSearchError,
     search_balanced,
@@ -140,7 +134,7 @@ def build_random(config_path, **flags) -> None:
         flags,
         ("n", "d", "m", "epsilon", "delta_min", "t", "seed", "max_attempts", "out_path"),
     )
-    cfg.setdefault("budget", 2_000_000)
+    cfg.setdefault("budget", DEFAULT_MAX_SUBSETS)
     epsilon = _parse_fraction(str(cfg["epsilon"]))
     out = Path(cfg["out_path"])
     report_path = Path(cfg.get("report_path") or str(out) + ".report.json")
@@ -237,7 +231,7 @@ def build_linear(config_path, **flags) -> None:
 def verify(config_path, **flags) -> None:
     """Check extractor deviations over a k-range plus the degree guarantee."""
     cfg = _resolve(_load_config(config_path), flags, ("graph_path", "epsilon"))
-    cfg.setdefault("budget", 2_000_000)
+    cfg.setdefault("budget", DEFAULT_MAX_SUBSETS)
     cfg.setdefault("seed", 0)
     graph_file = _require_file(cfg["graph_path"], "graph file")
     graph = load_graph(graph_file)
@@ -409,9 +403,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CAPACITY
     except BalancedSearchError as exc:
         click.echo(f"search failed: {exc}", err=True)
-        return EXIT_FAILURE
-    except (ParameterError, FormatError, ShapeError, OracleRefusalError) as exc:
-        click.echo(f"error: {exc}", err=True)
         return EXIT_FAILURE
     except BalexError as exc:
         click.echo(f"error: {exc}", err=True)

@@ -9,6 +9,10 @@ Conventions
   convention: a row over ``c`` columns is a ``c``-bit string, column 0 (the
   first coordinate) living at the most significant bit.  ``mat_vec`` therefore
   reduces to a per-row AND + parity against the input integer.
+* An n-bit string is read as a chunk polynomial over GF(2^s): chunk j, the
+  integer bits ``j*s .. j*s+s-1`` (the top chunk zero-padded), is the
+  coefficient of ``point**j``, so chunk 0 is the constant term and input bit
+  ``j*s + b`` maps to ``alpha**b * point**j``.
 * Per extension degree ``s`` the published modulus is the irreducible
   polynomial of degree ``s`` with the smallest integer encoding (bit ``i`` =
   coefficient of ``x**i``); the full table is reproduced in the README and
@@ -99,10 +103,6 @@ class Field2s:
         if not is_irreducible(self.modulus):
             raise ParameterError(f"modulus {self.modulus:#x} is reducible")
 
-    @property
-    def mask(self) -> int:
-        return (1 << self.s) - 1
-
     @staticmethod
     def add(a: int, b: int) -> int:
         return a ^ b
@@ -143,16 +143,6 @@ class Gf2Matrix:
             out = (out << 1) | ((row & x).bit_count() & 1)
         return out
 
-    def column(self, j: int) -> int:
-        """Column ``j`` (0-based, leftmost first) as an nrows-bit string."""
-        if not 0 <= j < self.cols:
-            raise IndexError(f"column {j} outside 0..{self.cols - 1}")
-        bit = self.cols - 1 - j
-        out = 0
-        for row in self.rows:
-            out = (out << 1) | ((row >> bit) & 1)
-        return out
-
     def truncate_rows(self, keep: int) -> "Gf2Matrix":
         if not 0 <= keep <= self.nrows:
             raise ParameterError(f"cannot keep {keep} of {self.nrows} rows")
@@ -175,11 +165,6 @@ class Gf2Matrix:
                     work[i] ^= work[rank]
             rank += 1
         return rank
-
-    def hex_rows(self) -> list[str]:
-        """Debug dump, one hex string per row (non-normative)."""
-        digits = max(1, (self.cols + 3) // 4)
-        return [f"{r:0{digits}x}" for r in self.rows]
 
 
 @dataclass(frozen=True)
@@ -223,76 +208,38 @@ class AffineSpace:
             yield self.element(i)
 
 
-def rs_coefficients(x: int, n: int, s: int) -> list[int]:
-    """Split an n-bit string into ceil(n/s) field elements.
-
-    Chunk 0 is the low-order ``s`` bits of the integer and is the constant
-    term of the evaluated polynomial; the top chunk is zero-padded.
-    """
-    check_bits(x, n, "rs input")
-    count = max(1, -(-n // s))
-    mask = (1 << s) - 1
-    return [(x >> (j * s)) & mask for j in range(count)]
-
-
-def rs_eval(field: Field2s, x: int, n: int, v: int) -> int:
-    """Evaluate the chunk polynomial of ``x`` at the field point ``v``.
-
-    Linear in ``x`` over GF(2):  rs_eval(x1 ^ x2, v) == rs_eval(x1, v) ^
-    rs_eval(x2, v).
-    """
-    check_bits(v, field.s, "evaluation point")
-    coeffs = rs_coefficients(x, n, field.s)
-    acc = 0
-    for c in reversed(coeffs):
-        acc = field.mul(acc, v) ^ c
-    return acc
-
-
-def eval_matrix(field: Field2s, n: int, v: int) -> Gf2Matrix:
-    """Matrix of x -> rs_eval(x, v) as a linear map GF(2)^n -> GF(2)^s.
-
-    Row ``i`` (top row first) produces output bit ``s-1-i`` so that
-    ``mat_vec`` returns the field element directly; column ``j`` equals
-    rs_eval of the j-th unit vector.
-    """
-    rows = [0] * field.s
-    for j in range(n):
-        unit = 1 << (n - 1 - j)
-        img = rs_eval(field, unit, n, v)
-        for i in range(field.s):
-            if (img >> (field.s - 1 - i)) & 1:
-                rows[i] |= unit
-    return Gf2Matrix(tuple(rows), n)
-
-
 def row_assemble(
     field: Field2s,
     n: int,
     pairs: list[tuple[int, int]],
     m: int,
 ) -> Gf2Matrix:
-    """Assemble an m-by-n matrix whose row i is mask_i applied to the
-    evaluation matrix at point_i.
+    """The m-by-n matrix whose output bit i is ``mask_i`` applied to the chunk
+    polynomial of x evaluated at ``point_i``.
 
-    ``pairs[i] = (point_i, mask_i)``; bit ``i`` of the assembled product with
-    ``x`` equals the inner product of ``mask_i`` with rs_eval(x, point_i)
-    (mask bit b pairing with the alpha^b coordinate).
+    ``pairs[i] = (point_i, mask_i)``.  Input bit ``j*s + b`` is bit b of
+    chunk j (chunk 0 is the constant term), so its column under the
+    evaluation is ``alpha^b * point_i^j`` and its bit in row i is the parity
+    of ``mask_i`` AND that column (mask bit b pairing with the alpha^b
+    coordinate).
     """
     if len(pairs) != m:
         raise ParameterError(f"need exactly {m} (point, mask) pairs, got {len(pairs)}")
-    eval_cache: dict[int, Gf2Matrix] = {}
+    s, modulus = field.s, field.modulus
     rows = []
     for point, mask in pairs:
-        check_bits(point, field.s, "row point")
-        check_bits(mask, field.s, "row mask")
-        if point not in eval_cache:
-            eval_cache[point] = eval_matrix(field, n, point)
-        a_v = eval_cache[point]
+        check_bits(point, s, "row point")
+        check_bits(mask, s, "row mask")
         row = 0
-        for b in range(field.s):
-            if (mask >> b) & 1:
-                row ^= a_v.rows[field.s - 1 - b]
+        power = 1  # point^j, the column of input bit j*s
+        for low in range(0, n, s):
+            column = power
+            for bit in range(low, min(low + s, n)):
+                row |= ((mask & column).bit_count() & 1) << bit
+                column <<= 1
+                if column >> s:
+                    column ^= modulus
+            power = field.mul(power, point)
         rows.append(row)
     return Gf2Matrix(tuple(rows), n)
 

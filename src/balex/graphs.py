@@ -64,7 +64,7 @@ class TableBackend:
     def eval(self, x: int, y: int) -> int:
         return int(self.table[(x << self.d) | y])
 
-    def rows(self, m_k: int, members: np.ndarray | None = None) -> np.ndarray:
+    def rows(self, m_k: int, members=None) -> np.ndarray:
         """Images truncated to m_k bits, one row per left node (all, or the members)."""
         rows = self.table.reshape(1 << self.n, 1 << self.d)
         if members is not None:
@@ -208,8 +208,11 @@ class PrefixView:
             )
         return g.backend.rows(self.m_k)
 
-    def member_rows(self, members: np.ndarray) -> np.ndarray:
-        """(len(members), D) array of truncated images for selected left nodes."""
+    def member_rows(self, members) -> np.ndarray:
+        """(len(members), D) array of truncated images for selected left nodes.
+
+        ``members`` is a sequence of left nodes; Python ints reach n = 64.
+        """
         return self.graph.backend.rows(self.m_k, members)
 
 
@@ -285,6 +288,8 @@ def deserialize(data: bytes) -> ExtractorGraph:
     tag = data[18]
     payload = data[19:]
     if tag == _BACKEND_TABLE:
+        if not 1 <= m <= 64:
+            raise FormatError(f"table entries of m={m} bits outside 1..64")
         if n + d > MAX_TABLE_BITS:
             raise CapacityError(f"table with n+d={n + d} bits exceeds the budget")
         entry_bytes = (m + 7) // 8

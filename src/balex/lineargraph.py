@@ -1,9 +1,10 @@
 """Linear graph backend: every edge label acts on left nodes as a GF(2) matrix.
 
-The matrix for edge label y has row i equal to ``mask_i(y)`` applied to the
-evaluation matrix at ``point_i(y)``, so bit i of the output is the inner
-product of ``mask_i(y)`` with the chunk-polynomial evaluation of x at
-``point_i(y)``.  The (point, mask) pairs come from a pluggable seed
+Bit i of the output under edge label y is the inner product of
+``mask_i(y)`` with the chunk polynomial of x evaluated at ``point_i(y)``.
+Chunk 0, the low s bits of x, is the constant term, so input bit ``j*s + b``
+contributes the field element ``alpha^b * point_i(y)^j`` (see
+``gf2.row_assemble``).  The (point, mask) pairs come from a pluggable seed
 expansion:
 
 * ``counter`` — pairs derived by keyed BLAKE2b hashing of (y, i); fully
@@ -159,14 +160,14 @@ class LinearFamily:
     def preimages(self, m_k: int, y: int, z: int) -> AffineSpace | None:
         return solve_affine(self.matrix(y).truncate_rows(m_k), z)
 
-    def rows(self, m_k: int, members: np.ndarray | None = None) -> np.ndarray:
+    def rows(self, m_k: int, members=None) -> np.ndarray:
         """Images truncated to m_k bits, one row per left node (all, or the members)."""
         count = 1 << self.n if members is None else len(members)
         out = np.empty((count, 1 << self.d), dtype=np.int64)
         for y in range(1 << self.d):
             trunc = self.matrix(y).truncate_rows(m_k)
             if members is None:
-                out[:, y] = _linear_output_column(trunc, self.n)
+                out[:, y] = _subset_xors(_unit_images(trunc))
             else:
                 out[:, y] = [trunc.mat_vec(int(x)) for x in members]
         return out
@@ -176,7 +177,7 @@ class LinearFamily:
         counts = np.zeros(1 << m_k, dtype=np.int64)
         for y in range(1 << self.d):
             trunc = self.matrix(y).truncate_rows(m_k)
-            members = _span_members([trunc.column(j) for j in range(trunc.cols)])
+            members = _span_members(_unit_images(trunc))
             rank = members.size.bit_length() - 1
             counts[members] += 1 << (self.n - rank)
         return counts
@@ -211,6 +212,21 @@ class LinearFamily:
         return bytes([_BACKEND_LINEAR]) + struct.pack("<I", len(descriptor)) + descriptor
 
 
+def _unit_images(mat: Gf2Matrix) -> list[int]:
+    """Images of the unit vectors ``1 << bit``, lowest bit first."""
+    return [mat.mat_vec(1 << bit) for bit in range(mat.cols)]
+
+
+def _subset_xors(vectors: list[int]) -> np.ndarray:
+    """XOR of every subset of the vectors; entry i XORs those picked by the bits of i."""
+    out = np.zeros(1 << len(vectors), dtype=np.int64)
+    size = 1
+    for v in vectors:
+        out[size : 2 * size] = out[:size] ^ v
+        size *= 2
+    return out
+
+
 def _span_members(vectors: list[int]) -> np.ndarray:
     """All members of the GF(2) span of the given vectors (size 2^rank)."""
     slots: dict[int, int] = {}
@@ -221,24 +237,7 @@ def _span_members(vectors: list[int]) -> np.ndarray:
                 slots[lead] = v
                 break
             v ^= slots[lead]
-    basis = list(slots.values())
-    members = np.zeros(1 << len(basis), dtype=np.int64)
-    size = 1
-    for b in basis:
-        members[size : 2 * size] = members[:size] ^ b
-        size *= 2
-    return members
-
-
-def _linear_output_column(trunc: Gf2Matrix, n: int) -> np.ndarray:
-    """Outputs of a linear map on every x in 0..2^n-1 via subset-xor doubling."""
-    out = np.zeros(1 << n, dtype=np.int64)
-    size = 1
-    for bit in range(n):
-        img = trunc.mat_vec(1 << bit)
-        out[size : 2 * size] = out[:size] ^ img
-        size *= 2
-    return out
+    return _subset_xors(list(slots.values()))
 
 
 def family_from_descriptor(descriptor: dict, *, n: int, d: int) -> LinearFamily:
@@ -248,14 +247,22 @@ def family_from_descriptor(descriptor: dict, *, n: int, d: int) -> LinearFamily:
         m = descriptor["m"]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"linear descriptor missing fields: {descriptor!r}") from exc
+    fields = {"s": int, "m": int}
+    if scheme == COUNTER_SCHEME:
+        fields["seed"] = int
+    elif scheme == EXTERNAL_SCHEME:
+        fields["table"] = str
+    for name, kind in fields.items():
+        if type(descriptor.get(name)) is not kind:
+            raise FormatError(f"linear descriptor field {name!r} must be a JSON {kind.__name__}")
     try:
         if scheme == COUNTER_SCHEME:
-            expansion = SeedExpansion(scheme, s, m, seed=descriptor.get("seed"))
+            expansion = SeedExpansion(scheme, s, m, seed=descriptor["seed"])
         else:
-            expansion = SeedExpansion(scheme, s, m, table_path=descriptor.get("table"))
+            expansion = SeedExpansion(scheme, s, m, table_path=descriptor["table"])
+        return LinearFamily(n, d, expansion)
     except ParameterError as exc:
         raise FormatError(str(exc)) from exc
-    return LinearFamily(n, d, expansion)
 
 
 def linear_graph(n: int, d: int, expansion: SeedExpansion) -> ExtractorGraph:
@@ -319,7 +326,7 @@ def linearity_check(
         return False
     n = graph.n
     if n <= 16:
-        filled = _linear_output_column(family.matrix(y), n)
+        filled = _subset_xors(_unit_images(family.matrix(y)))
         for x in range(1 << n):
             if graph.ext_eval(x, y) != int(filled[x]):
                 return False

@@ -62,7 +62,7 @@ def _classify(
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ParameterError(f"epsilon must be positive, got {epsilon}")
-    rows = view.member_rows(np.asarray(members, dtype=np.int64))
+    rows = view.member_rows(members)
     threshold = light_threshold(epsilon, len(members), view.graph.degree, view.r_size)
     counts = np.bincount(rows.ravel(), minlength=view.r_size)
     num, den = threshold.numerator, threshold.denominator

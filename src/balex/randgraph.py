@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -26,6 +27,8 @@ from .errors import BalexError, CapacityError, ParameterError, ShapeError
 from .graphs import MAX_RIGHT_BITS, MAX_TABLE_BITS, ExtractorGraph, PrefixView, _entry_dtype
 
 GENERATOR_ID = "philox4x64:numpy-generator-integers:v1"
+DEFAULT_MAX_SUBSETS = 2_000_000  # subsets one exact check may enumerate
+MAX_SAMPLED_LEFT_BITS = 62  # the sampled check draws left nodes below 2^n in int64
 
 
 def table_rng(seed: int) -> np.random.Generator:
@@ -105,7 +108,7 @@ def stat_distance(view: PrefixView, B) -> Fraction:
         raise CapacityError(
             f"right side of 2^{view.m_k} nodes exceeds the 2^{MAX_RIGHT_BITS} budget"
         )
-    rows = view.member_rows(np.asarray(members, dtype=np.int64))
+    rows = view.member_rows(members)
     num = _kernels.deviation_numerator(rows, view.r_size)
     edges = len(members) * view.graph.degree
     return Fraction(num, 2 * edges * view.r_size)
@@ -136,7 +139,7 @@ def verify_extractor_exact(
     graph: ExtractorGraph,
     k: int,
     epsilon: Fraction,
-    max_subsets: int = 2_000_000,
+    max_subsets: int = DEFAULT_MAX_SUBSETS,
 ) -> VerifyReport:
     """Enumerate every B of size exactly 2^k and bound the worst deviation."""
     epsilon = Fraction(epsilon)
@@ -187,6 +190,11 @@ def verify_extractor_sampled(
     if view.m_k > MAX_RIGHT_BITS:
         raise CapacityError(
             f"right side of 2^{view.m_k} nodes exceeds the 2^{MAX_RIGHT_BITS} budget"
+        )
+    if graph.n > MAX_SAMPLED_LEFT_BITS:
+        raise CapacityError(
+            f"sampled check draws left nodes of at most {MAX_SAMPLED_LEFT_BITS} bits, "
+            f"graph has n={graph.n}"
         )
     n_left = 1 << graph.n
     subset_size = 1 << k
@@ -274,8 +282,11 @@ class BalancedSearchError(BalexError):
         self.records = records
 
 
+MAX_ATTEMPTS = 1 << 32  # attempt indices must fit the low 32 bits of attempt_seed
+
+
 def attempt_seed(seed: int, attempt: int) -> int:
-    """Per-attempt generator key: disjoint streams for distinct attempts."""
+    """Per-attempt generator key: disjoint streams for attempts below 2^32."""
     return (seed << 32) | attempt
 
 
@@ -289,7 +300,7 @@ def search_balanced(
     max_attempts: int,
     seed: int,
     candidates: tuple[ExtractorGraph, ...] = (),
-    max_subsets: int = 2_000_000,
+    max_subsets: int = DEFAULT_MAX_SUBSETS,
 ) -> SearchResult:
     """Seeded rejection sampling: draw tables until one verifies as balanced.
 
@@ -300,11 +311,15 @@ def search_balanced(
     epsilon = Fraction(epsilon)
     if not 0 <= seed < 1 << 64:
         raise ParameterError(f"seed {seed} outside [0, 2^64)")
-    if max_attempts < 0:
-        raise ParameterError(f"max_attempts must be >= 0, got {max_attempts}")
+    if not 0 <= max_attempts <= MAX_ATTEMPTS:
+        raise ParameterError(
+            f"max_attempts must lie in 0..2^32 so attempt keys stay distinct, got {max_attempts}"
+        )
     records: list[AttemptRecord] = []
-    plan: list[tuple[ExtractorGraph | None, int | None]] = [(g, None) for g in candidates]
-    plan += [(None, attempt_seed(seed, i)) for i in range(max_attempts)]
+    plan = chain(
+        ((g, None) for g in candidates),
+        ((None, attempt_seed(seed, i)) for i in range(max_attempts)),
+    )
     k_lo = max(1, (n - m) + 1)  # prefix views need k - a >= 1
     for index, (graph, g_seed) in enumerate(plan):
         if graph is None:
@@ -323,7 +338,7 @@ def search_balanced(
             record.passed = True
             return SearchResult(graph, index, g_seed, reports, records)
     raise BalancedSearchError(
-        f"no balanced graph found in {len(plan)} attempts "
+        f"no balanced graph found in {len(candidates) + max_attempts} attempts "
         f"(n={n} d={d} m={m} epsilon={epsilon} Delta={Delta} t={t})",
         records,
     )

@@ -100,6 +100,33 @@ def test_sampled_fallback_past_int_to_str_limit(tmp_path):
     assert code == (0 if doc["pass"] else 2)
 
 
+def test_sampled_refused_on_n64_linear_graph(tmp_path, capsys):
+    # the README's n=64 graph: the sampled fallback cannot draw 64-bit left nodes
+    lin = tmp_path / "lin.bgex"
+    assert run_cli(
+        "build-linear", "--n", 64, "--epsilon", "1/4", "--kappa", 0.015625,
+        "--s", 16, "--seed", 9, "--out", lin,
+    ) == 0
+    capsys.readouterr()
+    code = run_cli("verify", "--graph", lin, "--epsilon", "1/4", "--sampled-trials", 5)
+    assert code == 3
+    assert "62 bits" in capsys.readouterr().err
+
+
+def test_malformed_graph_headers_exit_two(tmp_path, capsys):
+    from test_graphs import BAD_DESCRIPTORS, linear_file_with, table_header_with_m
+
+    table = balex.sample_table(4, 3, 4, seed=7)
+    files = [table_header_with_m(table, m) for m in (0, 72)]
+    files += [linear_file_with(**fields) for fields in BAD_DESCRIPTORS.values()]
+    for i, data in enumerate(files):
+        path = tmp_path / f"bad{i}.bgex"
+        path.write_bytes(data)
+        capsys.readouterr()
+        assert run_cli("verify", "--graph", path, "--epsilon", "1/2") == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 # --- build-random -------------------------------------------------------------
 
 
@@ -233,6 +260,35 @@ def test_congestion_with_bset_file(built, tmp_path):
     assert doc["report"]["b_size"] == 4
     assert doc["report"]["s"] == 2
     assert doc["report"]["pass"] is True
+
+
+def test_congestion_bset_file_past_int64(tmp_path):
+    # n = 64 linear graph, B = {2^63 .. 2^63+15}: recount from view.neighbors
+    expansion = balex.SeedExpansion("counter", s=16, m=64, seed=5)
+    g = balex.linear_graph(n=64, d=1, expansion=expansion)
+    graph_path = tmp_path / "g64.bgex"
+    balex.save_graph(g, graph_path)
+    B = set(range(2**63, 2**63 + 16))
+    bset_path = tmp_path / "b.bset"
+    balex.save_bset(balex.oracles.explicit_bset(64, 4, B), bset_path)
+    out = tmp_path / "congestion.json"
+    code = run_cli(
+        "congestion", "--graph", graph_path, "--bset", bset_path,
+        "--epsilon", "1/4", "--t", 4, "--out", out,
+    )
+    report = json.loads(out.read_text())["report"]
+    view = g.prefix_view(4)
+    counts = {}
+    for x in B:
+        for z in view.neighbors(x):
+            counts[z] = counts.get(z, 0) + 1
+    threshold = Fraction(4 * len(B) * g.degree, view.r_size)  # (1/eps) |B| D / |R|
+    heavy = {z for z, c in counts.items() if c > threshold}
+    bad = {x for x in B if 2 * sum(z in heavy for z in view.neighbors(x)) >= g.degree}
+    assert report["b_size"] == 16 and report["s"] == 4
+    assert report["heavy_set"] == sorted(balex.bitstrings.to_hex(z, 4) for z in heavy)
+    assert report["bad_set"] == sorted(balex.bitstrings.to_hex(x, 64) for x in bad)
+    assert code == (0 if report["pass"] else 2)
 
 
 def test_congestion_with_oracle(built, tmp_path):

@@ -9,14 +9,12 @@ from balex.gf2 import (
     LEX_LEAST_IRREDUCIBLE,
     Field2s,
     Gf2Matrix,
-    eval_matrix,
     field_make,
     least_irreducible,
     row_assemble,
-    rs_coefficients,
-    rs_eval,
     solve_affine,
 )
+from chunk_poly import rs_coefficients, rs_eval
 
 
 # --- fields ---------------------------------------------------------------
@@ -77,7 +75,7 @@ def test_every_nonzero_element_has_inverse(s):
         assert any(f.mul(a, b) == 1 for b in range(1, 1 << s))
 
 
-# --- chunk-polynomial evaluation -------------------------------------------
+# --- chunk-polynomial evaluation (the Horner reference in tests/) ----------
 
 
 def test_rs_eval_zero_polynomial():
@@ -108,7 +106,8 @@ def _rs_eval_term_sum(f, x, n, v):
     # independent oracle: expand sum_j c_j * v^j term by term
     out = 0
     for j, c in enumerate(rs_coefficients(x, n, f.s)):
-        out ^= f.mul(c, _field_pow(f, v, j))
+        if c:
+            out ^= f.mul(c, _field_pow(f, v, j))
     return out
 
 
@@ -136,6 +135,12 @@ def test_rs_eval_additive(x1, x2, v):
 # --- evaluation matrices ----------------------------------------------------
 
 
+def eval_matrix(f, n, v):
+    # row_assemble with unit masks: row i reads the alpha^(s-1-i) coordinate,
+    # so mat_vec returns the evaluation at v as a field element
+    return row_assemble(f, n, [(v, 1 << (f.s - 1 - i)) for i in range(f.s)], f.s)
+
+
 def test_eval_matrix_at_zero_selects_constant_chunk():
     f = field_make(4)
     mat = eval_matrix(f, 12, 0)
@@ -152,7 +157,7 @@ def test_eval_matrix_columns_are_unit_evaluations():
         mat = eval_matrix(f, n, v)
         for j in range(n):
             unit = 1 << (n - 1 - j)
-            assert mat.column(j) == rs_eval(f, unit, n, v)
+            assert mat.mat_vec(unit) == rs_eval(f, unit, n, v)
 
 
 def test_eval_matrix_agrees_with_rs_eval():
@@ -213,6 +218,29 @@ def test_row_assemble_linearity():
         x1 = rng.randrange(1 << n)
         x2 = rng.randrange(1 << n)
         assert mat.mat_vec(x1 ^ x2) == mat.mat_vec(x1) ^ mat.mat_vec(x2)
+
+
+@pytest.mark.parametrize(
+    "s,n",
+    [(1, 1), (1, 7), (1, 64), (2, 5), (3, 64), (4, 10), (5, 17), (8, 12),
+     (16, 64), (24, 70), (31, 40), (32, 33), (32, 64)],
+)
+def test_row_assemble_matches_term_sum_oracle_bitwise(s, n):
+    # every mask bit b and input bit p: row b holds bit b of the term-sum
+    # evaluation of the unit vector 1 << p; points include 0 and 1
+    f = field_make(s)
+    rng = random.Random(s * 100 + n)
+    for v in sorted({0, 1, rng.randrange(1 << s), rng.randrange(1 << s)}):
+        mat = row_assemble(f, n, [(v, 1 << b) for b in range(s)], s)
+        for p in range(n):
+            image = _rs_eval_term_sum(f, 1 << p, n, v)
+            for b in range(s):
+                assert (mat.rows[b] >> p) & 1 == (image >> b) & 1, (v, p, b)
+        mask = rng.randrange(1 << s)
+        row = row_assemble(f, n, [(v, mask)], 1).rows[0]
+        for p in range(n):
+            image = _rs_eval_term_sum(f, 1 << p, n, v)
+            assert (row >> p) & 1 == (mask & image).bit_count() & 1
 
 
 def test_row_assemble_pair_count_mismatch():
@@ -312,7 +340,6 @@ def test_kernel_basis_gives_suffix_order_for_prefix_systems():
     ]
 
 
-def test_matrix_rank_and_hex_rows():
+def test_matrix_rank():
     mat = Gf2Matrix((0b110, 0b011, 0b101), 3)
     assert mat.rank() == 2
-    assert mat.hex_rows() == ["6", "3", "5"]

@@ -1,3 +1,5 @@
+import json
+import struct
 from collections import Counter
 from fractions import Fraction
 
@@ -254,6 +256,43 @@ def test_deserialize_rejects_bad_inputs(table_graph):
         balex.deserialize(bytes(bad_version))
     with pytest.raises(FormatError):
         balex.deserialize(data + b"\x00")
+
+
+def table_header_with_m(graph, m):
+    data = bytearray(balex.serialize(graph))
+    struct.pack_into("<I", data, 14, m)
+    return bytes(data)
+
+
+def linear_file_with(**fields):
+    descriptor = {"id": "counter", "s": 8, "m": 8, "seed": 5}
+    descriptor.update(fields)
+    body = json.dumps(descriptor).encode("utf-8")
+    head = BGEX_MAGIC + struct.pack("<HIII", 1, 12, 4, 8)
+    return head + bytes([1]) + struct.pack("<I", len(body)) + body
+
+
+BAD_DESCRIPTORS = {
+    "seed-str": {"seed": "5"},
+    "seed-float": {"seed": 5.0},
+    "seed-bool": {"seed": True},
+    "s-str": {"s": "8"},
+    "m-str": {"m": "8"},
+    "table-int": {"id": "external", "table": 0},
+}
+
+
+def test_deserialize_rejects_table_widths_outside_1_to_64(table_graph):
+    for m in (0, 65, 72):
+        with pytest.raises(FormatError, match="outside 1..64"):
+            balex.deserialize(table_header_with_m(table_graph, m))
+
+
+@pytest.mark.parametrize("fields", BAD_DESCRIPTORS.values(), ids=BAD_DESCRIPTORS.keys())
+def test_deserialize_rejects_mistyped_descriptor_fields(fields):
+    assert balex.deserialize(linear_file_with()).n == 12
+    with pytest.raises(FormatError, match="must be a JSON"):
+        balex.deserialize(linear_file_with(**fields))
 
 
 def test_save_load_graph(tmp_path, table_graph):

@@ -7,13 +7,14 @@ import pytest
 
 import balex
 from balex.errors import BackendError, FormatError, ParameterError
-from balex.gf2 import field_make, rs_eval
+from balex.gf2 import field_make
 from balex.lineargraph import (
     SeedExpansion,
     derive_amplification,
     derive_dims,
     save_pair_table,
 )
+from chunk_poly import rs_eval
 
 
 # --- expansions -----------------------------------------------------------------

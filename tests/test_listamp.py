@@ -182,6 +182,45 @@ def test_congestion_on_linear_backend(linear_graph_12):
     assert report.bad_set <= frozenset(B)
 
 
+def _n64_counter_graph():
+    expansion = balex.SeedExpansion("counter", s=16, m=64, seed=5)
+    return balex.linear_graph(n=64, d=1, expansion=expansion)
+
+
+def _kernel_coset_b(g):
+    # 2^63 XOR every subset of four vectors that both labels' top 4 rows
+    # send to 0: sixteen members past 2^63 sharing one image per label
+    rows = g.family.matrix(0).rows[:4] + g.family.matrix(1).rows[:4]
+    kernel = balex.solve_affine(balex.Gf2Matrix(rows, 64), 0).basis
+    low = tuple(v for v in kernel if not v >> 63)[:4]
+    return set(balex.AffineSpace(64, 2**63, low))
+
+
+@pytest.mark.parametrize("kind", ["consecutive", "kernel-coset"])
+def test_congestion_linear_n64_members_past_int64(kind):
+    # members >= 2^63 stay Python ints; recount everything from view.neighbors
+    g = _n64_counter_graph()
+    B = set(range(2**63, 2**63 + 16)) if kind == "consecutive" else _kernel_coset_b(g)
+    assert len(B) == 16 and min(B) >= 2**63
+    epsilon = Fraction(1, 4)  # sqrt(eps) = 1/2 exactly
+    view = g.prefix_view(4)
+    counts = brute_b_degrees(view, B)
+    threshold = Fraction(len(B) * g.degree, view.r_size) / epsilon
+    heavy = {z for z, c in counts.items() if c > threshold}
+    bad = {x for x in B if 2 * sum(z in heavy for z in view.neighbors(x)) >= g.degree}
+    if kind == "kernel-coset":
+        assert heavy and bad == B
+    report = balex.congestion_report(g, B, epsilon, t=4)
+    assert (report.s, report.right_bits) == (4, 4)
+    assert report.heavy_set == heavy and report.bad_set == bad
+    assert balex.classify_heavy(view, B, epsilon) == heavy
+    assert balex.bad_set(view, B, epsilon) == bad
+    edges = len(B) * g.degree
+    distance = sum(abs(Fraction(counts[z], edges) - Fraction(1, view.r_size))
+                   for z in range(view.r_size)) / 2
+    assert balex.stat_distance(view, B) == distance
+
+
 # --- amplification -----------------------------------------------------------------
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import balex
+from balex import randgraph
 from balex.errors import CapacityError, ParameterError
 from balex.randgraph import (
     AttemptRecord,
@@ -235,6 +236,28 @@ def test_sampled_on_linear_backend(linear_graph_12):
     assert full.worst_deviation == exact_b
 
 
+def test_sampled_refuses_left_sides_past_62_bits(monkeypatch):
+    expansion = balex.SeedExpansion("counter", s=16, m=63, seed=1)
+    g = balex.linear_graph(n=63, d=1, expansion=expansion)
+
+    def no_draw(seed):
+        raise AssertionError("drew left nodes before refusing n=63")
+
+    monkeypatch.setattr(randgraph, "table_rng", no_draw)
+    with pytest.raises(CapacityError):
+        balex.verify_extractor_sampled(g, 2, Fraction(1, 4), trials=2, seed=0)
+
+
+def test_sampled_draw_unchanged_at_62_bits():
+    # the largest left side the sampled check accepts keeps its rng.choice stream
+    expansion = balex.SeedExpansion("counter", s=16, m=62, seed=1)
+    g = balex.linear_graph(n=62, d=1, expansion=expansion)
+    rep = balex.verify_extractor_sampled(g, 2, Fraction(0), trials=1, seed=3)
+    drawn = sorted(int(x) for x in randgraph.table_rng(3).choice(1 << 62, size=4, replace=False))
+    assert rep.worst_deviation == balex.stat_distance(g.prefix_view(2), drawn)
+    assert rep.passed or list(rep.witness_B) == drawn
+
+
 # --- degree verification ------------------------------------------------------------
 
 
@@ -284,6 +307,25 @@ def test_search_injected_identity_candidate(identity_table_graph):
     assert result.attempt == 0
     assert result.seed is None
     assert balex.serialize(result.graph) == balex.serialize(identity_table_graph)
+
+
+def test_search_refuses_budgets_that_collide_attempt_keys(monkeypatch):
+    assert attempt_seed(2, 2**32) == attempt_seed(3, 0)  # the collision refused
+    drawn = []
+
+    def counted(seed, attempt):
+        drawn.append(attempt)
+        if len(drawn) > 8:
+            raise AssertionError("attempt keys drawn ahead of the search")
+        return attempt_seed(seed, attempt)
+
+    monkeypatch.setattr(randgraph, "attempt_seed", counted)
+    with pytest.raises(ParameterError, match="max_attempts"):
+        balex.search_balanced(3, 2, 3, Fraction(1), 1, 3, max_attempts=2**32 + 1, seed=0)
+    assert drawn == []
+    # 2^32 attempts still fit the key layout; the first one is accepted
+    result = balex.search_balanced(3, 2, 3, Fraction(1), 1, 3, max_attempts=2**32, seed=0)
+    assert (result.attempt, result.seed, drawn) == (0, attempt_seed(0, 0), [0])
 
 
 def test_search_zero_attempts_fails():
