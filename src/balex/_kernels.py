@@ -32,6 +32,7 @@ def worst_subset_deviation(
     rows: np.ndarray, subset_size: int, r_size: int
 ) -> tuple[int, np.ndarray]:
     """Largest deviation numerator over all size-``subset_size`` row subsets, and its subset."""
+    rows = rows.astype(np.intp)  # bincount would cast narrower rows again for every subset
     n_left = rows.shape[0]
     worst = -1
     best = None

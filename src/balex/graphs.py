@@ -69,7 +69,7 @@ class TableBackend:
         rows = self.table.reshape(1 << self.n, 1 << self.d)
         if members is not None:
             rows = rows[members]
-        return (rows >> (self.m - m_k)).astype(np.int64)
+        return rows >> self.table.dtype.type(self.m - m_k)  # stays in the table's unsigned dtype
 
     def degree_counts(self, m_k: int) -> np.ndarray:
         return np.bincount(self.rows(m_k).ravel(), minlength=1 << m_k)
@@ -82,15 +82,33 @@ class TableBackend:
 
         A block is the first Delta distinct left neighbors of the right node
         over every edge label, ascending, repeated cyclically when fewer
-        exist.  The table is scanned once per distinct right node.
+        exist.  All wanted right nodes are found in one pass over the table:
+        they are marked in a 2^m_k flag array, and only the hits are sorted
+        by right node.  A single right node, or a right side with more nodes
+        than the table has entries, is found by comparing instead.
         """
+        pairs = list(pairs)
         pref = self.rows(m_k).ravel()
-        neighbors: dict[int, np.ndarray] = {}
+        wanted = sorted({p for _, p in pairs})
+        if len(wanted) == 1 or m_k > self.n + self.d:
+            neighbors = {p: np.unique(np.flatnonzero(pref == p) >> self.d) for p in wanted}
+        else:
+            mark = np.zeros(1 << m_k, dtype=bool)
+            mark[wanted] = True
+            hits = np.flatnonzero(mark[pref])
+            labels = pref[hits]
+            order = np.argsort(labels, kind="stable")
+            hits >>= self.d  # in place: a hit-sized temporary here raised the peak RSS
+            xs, labels = hits[order], labels[order]
+            # each right node's left neighbors now ascend; keep the first of each run
+            first = np.ones(xs.size, dtype=bool)
+            first[1:] = (xs[1:] != xs[:-1]) | (labels[1:] != labels[:-1])
+            xs, labels = xs[first], labels[first]
+            cuts = np.searchsorted(labels, np.array(wanted[1:], dtype=labels.dtype))
+            neighbors = dict(zip(wanted, np.split(xs, cuts)))
         out = []
         for _, p in pairs:
-            xs = neighbors.get(p)
-            if xs is None:
-                xs = neighbors[p] = np.unique(np.nonzero(pref == p)[0] >> self.d)
+            xs = neighbors[p]
             out.append((xs[np.arange(Delta) % xs.size].tolist(), xs.size < Delta))
         return out
 
@@ -191,12 +209,16 @@ class PrefixView:
         check_bits(z, self.m_k, "right node")
         return self.graph.backend.right_degree(self.m_k, z)
 
-    def degree_counts(self) -> np.ndarray:
-        """Right-degree histogram indexed by right label; exhaustive."""
+    def check_right_budget(self) -> None:
+        """Refuse a right side too large to tally node by node."""
         if self.m_k > MAX_RIGHT_BITS:
             raise CapacityError(
                 f"right side of 2^{self.m_k} nodes exceeds the 2^{MAX_RIGHT_BITS} budget"
             )
+
+    def degree_counts(self) -> np.ndarray:
+        """Right-degree histogram indexed by right label; exhaustive."""
+        self.check_right_budget()
         return self.graph.backend.degree_counts(self.m_k)
 
     def prefixed_rows(self) -> np.ndarray:
@@ -304,6 +326,8 @@ def deserialize(data: bytes) -> ExtractorGraph:
         values = wide.view("<u8").ravel().astype(_entry_dtype(m))
         return ExtractorGraph(n, d, m, table=values)
     if tag == _BACKEND_LINEAR:
+        if not (1 <= n <= 64 and 1 <= m <= 64):
+            raise FormatError(f"linear graph of n={n}, m={m} bits outside 1..64")
         if len(payload) < 4:
             raise FormatError("truncated linear descriptor")
         (desc_len,) = struct.unpack_from("<I", payload, 0)
@@ -319,6 +343,8 @@ def deserialize(data: bytes) -> ExtractorGraph:
         from .lineargraph import family_from_descriptor
 
         family = family_from_descriptor(descriptor, n=n, d=d)
+        if family.m != m:
+            raise FormatError(f"descriptor produces {family.m}-bit outputs, header says m={m}")
         return ExtractorGraph(n, d, m, family=family)
     raise FormatError(f"unknown backend tag {tag}")
 

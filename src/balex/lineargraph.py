@@ -163,7 +163,7 @@ class LinearFamily:
     def rows(self, m_k: int, members=None) -> np.ndarray:
         """Images truncated to m_k bits, one row per left node (all, or the members)."""
         count = 1 << self.n if members is None else len(members)
-        out = np.empty((count, 1 << self.d), dtype=np.int64)
+        out = np.empty((count, 1 << self.d), dtype=np.uint64)
         for y in range(1 << self.d):
             trunc = self.matrix(y).truncate_rows(m_k)
             if members is None:
@@ -219,7 +219,7 @@ def _unit_images(mat: Gf2Matrix) -> list[int]:
 
 def _subset_xors(vectors: list[int]) -> np.ndarray:
     """XOR of every subset of the vectors; entry i XORs those picked by the bits of i."""
-    out = np.zeros(1 << len(vectors), dtype=np.int64)
+    out = np.zeros(1 << len(vectors), dtype=np.uint64)
     size = 1
     for v in vectors:
         out[size : 2 * size] = out[:size] ^ v

@@ -56,12 +56,14 @@ def _classify(
 ) -> tuple[np.ndarray, frozenset[int]]:
     """Member rows of a non-empty, checked B and its heavy right nodes.
 
-    The counting consequence |heavy| <= eps * |R| is asserted; its failure
-    would mean a tallying bug, not bad input.
+    The right side is tallied node by node, so it must fit the right-side
+    budget.  The counting consequence |heavy| <= eps * |R| is asserted; its
+    failure would mean a tallying bug, not bad input.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ParameterError(f"epsilon must be positive, got {epsilon}")
+    view.check_right_budget()
     rows = view.member_rows(members)
     threshold = light_threshold(epsilon, len(members), view.graph.degree, view.r_size)
     counts = np.bincount(rows.ravel(), minlength=view.r_size)

@@ -24,7 +24,7 @@ import numpy as np
 from . import _kernels
 from .bitstrings import to_hex
 from .errors import BalexError, CapacityError, ParameterError, ShapeError
-from .graphs import MAX_RIGHT_BITS, MAX_TABLE_BITS, ExtractorGraph, PrefixView, _entry_dtype
+from .graphs import MAX_TABLE_BITS, ExtractorGraph, PrefixView, _entry_dtype
 
 GENERATOR_ID = "philox4x64:numpy-generator-integers:v1"
 DEFAULT_MAX_SUBSETS = 2_000_000  # subsets one exact check may enumerate
@@ -104,10 +104,7 @@ def stat_distance(view: PrefixView, B) -> Fraction:
     for x in members:
         if x < 0 or x >> view.graph.n:
             raise ShapeError(f"left node {x:#x} does not fit in {view.graph.n} bits")
-    if view.m_k > MAX_RIGHT_BITS:
-        raise CapacityError(
-            f"right side of 2^{view.m_k} nodes exceeds the 2^{MAX_RIGHT_BITS} budget"
-        )
+    view.check_right_budget()
     rows = view.member_rows(members)
     num = _kernels.deviation_numerator(rows, view.r_size)
     edges = len(members) * view.graph.degree
@@ -146,6 +143,7 @@ def verify_extractor_exact(
     if epsilon < 0:
         raise ParameterError(f"epsilon must be >= 0, got {epsilon}")
     view = graph.prefix_view(k)
+    view.check_right_budget()
     subset_size = 1 << k
     if _comb_exceeds(1 << graph.n, subset_size, max_subsets):
         raise CapacityError(
@@ -187,10 +185,7 @@ def verify_extractor_sampled(
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     view = graph.prefix_view(k)
-    if view.m_k > MAX_RIGHT_BITS:
-        raise CapacityError(
-            f"right side of 2^{view.m_k} nodes exceeds the 2^{MAX_RIGHT_BITS} budget"
-        )
+    view.check_right_budget()
     if graph.n > MAX_SAMPLED_LEFT_BITS:
         raise CapacityError(
             f"sampled check draws left nodes of at most {MAX_SAMPLED_LEFT_BITS} bits, "

@@ -41,6 +41,18 @@ def constant_table_graph():
 
 
 @pytest.fixture(scope="session")
+def wide_table_graph():
+    """n=2, d=1, m=64 table with entries past 2^63; a = -62, so every view has
+    more right bits (63 or 64) than the table has index bits (3)."""
+    import numpy as np
+
+    table = np.array(
+        [2**63 + 5, 7, 2**63 + 9, 2**64 - 1, 7, 2**63, 2**62 + 3, 2**63 + 9], dtype=np.uint64
+    )
+    return balex.ExtractorGraph(2, 1, 64, table=table)
+
+
+@pytest.fixture(scope="session")
 def linear_graph_12():
     """Counter-expansion linear graph: n=12, d=4, m=8 (a=4), seed 42."""
     expansion = balex.SeedExpansion("counter", s=8, m=8, seed=42)

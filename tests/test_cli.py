@@ -127,6 +127,17 @@ def test_malformed_graph_headers_exit_two(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_linear_header_widths_exit_two(tmp_path, capsys):
+    from test_graphs import BAD_LINEAR_HEADERS, linear_file_with
+
+    for i, header in enumerate(BAD_LINEAR_HEADERS):
+        path = tmp_path / f"bad{i}.bgex"
+        path.write_bytes(linear_file_with(header=header))
+        capsys.readouterr()
+        assert run_cli("verify", "--graph", path, "--epsilon", "1/2") == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 # --- build-random -------------------------------------------------------------
 
 
@@ -289,6 +300,44 @@ def test_congestion_bset_file_past_int64(tmp_path):
     assert report["heavy_set"] == sorted(balex.bitstrings.to_hex(z, 4) for z in heavy)
     assert report["bad_set"] == sorted(balex.bitstrings.to_hex(x, 64) for x in bad)
     assert code == (0 if report["pass"] else 2)
+
+
+def test_congestion_right_side_past_budget_exits_three(wide_table_graph, tmp_path, capsys):
+    graph_path = tmp_path / "wide.bgex"
+    balex.save_graph(wide_table_graph, graph_path)
+    bset_path = tmp_path / "b.bset"
+    balex.save_bset(balex.oracles.explicit_bset(2, 1, {0, 1}), bset_path)
+    code = run_cli(
+        "congestion", "--graph", graph_path, "--bset", bset_path,
+        "--epsilon", "1/4", "--t", 2, "--out", tmp_path / "c.json",
+    )
+    assert code == 3
+    assert capsys.readouterr().err.startswith("capacity exceeded: right side of 2^63")
+
+
+def test_verify_right_side_past_budget_exits_three(wide_table_graph, tmp_path, capsys):
+    graph_path = tmp_path / "wide.bgex"
+    balex.save_graph(wide_table_graph, graph_path)
+    assert run_cli("verify", "--graph", graph_path, "--epsilon", "1/2") == 3
+    assert capsys.readouterr().err.startswith("capacity exceeded: right side of 2^63")
+
+
+def test_amplify_index_on_m64_table_past_int64(wide_table_graph, tmp_path, capsys):
+    from block_oracle import amplified
+
+    g = wide_table_graph
+    path = tmp_path / "wide.bgex"
+    balex.save_graph(g, path)
+    pref = np.array([g.ext_eval(x, y) for x in range(4) for y in range(2)], dtype=np.uint64)
+    for x in range(4):
+        elements = amplified(pref, 1, x, 3)[0]
+        for i, element in enumerate(elements):
+            capsys.readouterr()
+            assert run_cli(
+                "amplify", "--graph", path, "--epsilon", "1/4", "--delta-blocks", 3,
+                "--t", 2, "--x", f"{x:x}", "--index", i,
+            ) == 0
+            assert capsys.readouterr().out == f"{element:x}\n"
 
 
 def test_congestion_with_oracle(built, tmp_path):

@@ -264,11 +264,11 @@ def table_header_with_m(graph, m):
     return bytes(data)
 
 
-def linear_file_with(**fields):
-    descriptor = {"id": "counter", "s": 8, "m": 8, "seed": 5}
+def linear_file_with(header=(12, 4, 8), **fields):
+    descriptor = {"id": "counter", "s": 8, "m": header[2], "seed": 5}
     descriptor.update(fields)
     body = json.dumps(descriptor).encode("utf-8")
-    head = BGEX_MAGIC + struct.pack("<HIII", 1, 12, 4, 8)
+    head = BGEX_MAGIC + struct.pack("<HIII", 1, *header)
     return head + bytes([1]) + struct.pack("<I", len(body)) + body
 
 
@@ -286,6 +286,19 @@ def test_deserialize_rejects_table_widths_outside_1_to_64(table_graph):
     for m in (0, 65, 72):
         with pytest.raises(FormatError, match="outside 1..64"):
             balex.deserialize(table_header_with_m(table_graph, m))
+
+
+# (n, d, m) headers of linear files whose widths fall outside 1..64
+BAD_LINEAR_HEADERS = [(10**6, 4, 10**6), (65, 4, 8), (0, 4, 8), (12, 4, 65), (12, 4, 0)]
+
+
+def test_deserialize_rejects_linear_widths_outside_1_to_64():
+    assert balex.deserialize(linear_file_with(header=(64, 1, 64))).m == 64
+    for header in BAD_LINEAR_HEADERS:
+        with pytest.raises(FormatError, match="outside 1..64"):
+            balex.deserialize(linear_file_with(header=header))
+    with pytest.raises(FormatError, match="header says m=9"):
+        balex.deserialize(linear_file_with(header=(12, 4, 9), m=8))
 
 
 @pytest.mark.parametrize("fields", BAD_DESCRIPTORS.values(), ids=BAD_DESCRIPTORS.keys())

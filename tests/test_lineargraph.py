@@ -293,3 +293,13 @@ def test_descriptor_embedded_in_graph_file(tmp_path, linear_graph_12):
     raw = path.read_bytes()
     descriptor = json.loads(raw[23:].decode("utf-8"))
     assert descriptor == {"id": "counter", "m": 8, "s": 8, "seed": 42}
+
+
+def test_member_rows_past_int64_match_neighbors():
+    # n = m = 64: truncated images >= 2^63 are written unsigned
+    expansion = balex.SeedExpansion("counter", s=16, m=64, seed=5)
+    g = balex.linear_graph(64, 1, expansion)
+    view = g.prefix_view(64)
+    x = 2**63 + 1
+    assert view.neighbors(x) == [16426030115067378227, 10017315757147413383]
+    assert view.member_rows([x, 5]).tolist() == [view.neighbors(x), view.neighbors(5)]

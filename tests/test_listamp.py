@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import balex
-from balex.errors import ParameterError
+from balex.errors import CapacityError, ParameterError
 from balex.exact import le_scaled_sqrt
 from balex.graphs import BalanceParams, ExtractorGraph, PrefixView
 from balex.listamp import (
@@ -152,6 +152,16 @@ def test_congestion_report_guards():
         balex.congestion_report(g, set(range(16)), Fraction(1, 4), t=3)  # s=4 > t
     with pytest.raises(ParameterError):
         balex.congestion_report(g, {1}, Fraction(1, 4), t=3)  # s=0 -> no view
+
+
+def test_congestion_refuses_right_sides_past_budget(wide_table_graph):
+    # |B| = 2 gives s = 1, and a = -62 leaves 63 right bits to tally
+    with pytest.raises(CapacityError, match="right side of 2\\^63 nodes"):
+        balex.congestion_report(wide_table_graph, {0, 1}, Fraction(1, 4), t=2)
+    view = wide_table_graph.prefix_view(1)
+    for call in (balex.classify_heavy, balex.bad_set):
+        with pytest.raises(CapacityError):
+            call(view, {0, 1}, Fraction(1, 4))
 
 
 def test_nonpositive_epsilon_refused_before_member_rows(monkeypatch):

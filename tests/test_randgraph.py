@@ -236,6 +236,12 @@ def test_sampled_on_linear_backend(linear_graph_12):
     assert full.worst_deviation == exact_b
 
 
+def test_exact_refuses_right_sides_past_budget(wide_table_graph):
+    # C(4, 2) subsets fit any budget, but a = -62 leaves 63 right bits to tally
+    with pytest.raises(CapacityError, match="right side of 2\\^63 nodes"):
+        balex.verify_extractor_exact(wide_table_graph, 1, Fraction(1, 2))
+
+
 def test_sampled_refuses_left_sides_past_62_bits(monkeypatch):
     expansion = balex.SeedExpansion("counter", s=16, m=63, seed=1)
     g = balex.linear_graph(n=63, d=1, expansion=expansion)
