@@ -24,13 +24,6 @@ def check_bits(value: int, length: int, what: str = "value") -> int:
     return value
 
 
-def prefix_bits(value: int, length: int, keep: int) -> int:
-    """First ``keep`` bits of an ``length``-bit value."""
-    if keep < 0 or keep > length:
-        raise ShapeError(f"prefix length {keep} outside [0, {length}]")
-    return value >> (length - keep)
-
-
 def to_hex(value: int, length: int) -> str:
     check_bits(value, length, "to_hex")
     digits = max(1, (length + 3) // 4)

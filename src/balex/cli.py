@@ -18,15 +18,16 @@ from pathlib import Path
 
 import click
 
+from . import oracles
 from .bitstrings import from_hex, to_hex
 from .errors import BalexError, CapacityError, ParameterError
-from .graphs import BalanceParams, graph_digest, load_graph, save_graph
+from .graphs import BalanceParams, load_graph, save_graph
 from .lineargraph import (
     SeedExpansion,
-    build_linear_graph,
     delta_guarantee,
     derive_amplification,
     derive_dims,
+    linear_graph,
     linearity_check,
 )
 from .listamp import (
@@ -37,7 +38,6 @@ from .listamp import (
     survival_ok,
     survival_fraction,
 )
-from .oracles import ToyMachineOracle, bset, compressor_oracle, load_bset
 from .randgraph import (
     DEFAULT_MAX_SUBSETS,
     GENERATOR_ID,
@@ -59,54 +59,97 @@ class CommandFailure(Exception):
         self.code = code
 
 
-def _parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise click.UsageError(f"not a rational number: {text!r}") from exc
+class Rational(click.ParamType):
+    """An exact rational written as ``1/2``, ``0.25`` or ``3``."""
+
+    name = "rational"
+
+    def convert(self, value, param, ctx) -> Fraction:
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            self.fail(f"not a rational number: {value!r}", param, ctx)
 
 
-def _load_config(path: str | None) -> dict:
+RATIONAL = Rational()
+INPUT_FILE = click.Path(exists=True, dir_okay=False)
+OUTPUT_FILE = click.Path(dir_okay=False)
+
+
+def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
+    """Read a JSON object of option values into the command's default map.
+
+    Keys are option names.  Each value must be a JSON string or number and
+    reaches its option as text, so it is checked exactly as the flag would be;
+    ``null`` leaves the option unset, and flags on the command line take
+    precedence.
+    """
     if path is None:
-        return {}
-    p = Path(path)
-    if not p.is_file():
-        raise click.UsageError(f"config file not found: {path}")
+        return
     try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise click.UsageError(f"config file {path} is not valid JSON: {exc}")
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise click.BadParameter(f"not a readable JSON file: {exc}") from exc
     if not isinstance(doc, dict):
-        raise click.UsageError(f"config file {path} must hold a JSON object")
-    return doc
+        raise click.BadParameter("must hold a JSON object")
+    names = {p.name for p in ctx.command.params if p is not param}
+    for key, value in doc.items():
+        if key not in names:
+            raise click.BadParameter(f"unknown key {key!r}")
+        if isinstance(value, (bool, list, dict)):
+            raise click.BadParameter(f"{key!r} must be a string or a number, not {value!r}")
+    ctx.default_map = {key: str(value) for key, value in doc.items() if value is not None}
 
 
-def _resolve(config: dict, flags: dict, required: tuple[str, ...]) -> dict:
-    merged = dict(config)
-    for key, value in flags.items():
-        if value is not None:
-            merged[key] = value
-    missing = [key for key in required if merged.get(key) is None]
-    if missing:
-        raise click.UsageError(f"missing required parameter(s): {', '.join(missing)}")
-    return merged
+config_option = click.option(
+    "--config", type=INPUT_FILE, is_eager=True, expose_value=False, callback=_load_config,
+    help="JSON object of option values keyed by option name; flags take precedence.",
+)
 
 
-def _file_digest(path: Path) -> str:
-    return "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
+def bset_options(command):
+    """Where B comes from: a --bset file, or an --oracle at level --k."""
+    for option in reversed((
+        click.option("--bset", type=INPUT_FILE, help="B-set file (JSON header + hex lines)."),
+        click.option("--oracle", type=click.Choice(["toy", "compressor"]),
+                     help="Oracle to draw B from instead of a file."),
+        click.option("--k", type=int, help="Complexity level for the oracle."),
+        click.option("--cap", type=int, help="Toy-machine program length cap (default 12)."),
+        click.option("--steps", type=int, help="Toy-machine step budget (default 10^4)."),
+    )):
+        command = option(command)
+    return command
 
 
-def _write_json(path: Path, document: dict) -> None:
-    path.write_text(
-        json.dumps(document, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+def _bset_members(g, bset, oracle, k, cap, steps) -> frozenset[int]:
+    if bset is not None:
+        return oracles.load_bset(bset).members
+    if oracle is None:
+        raise click.UsageError("need --bset FILE or --oracle NAME")
+    if k is None:
+        raise click.UsageError("--oracle needs --k")
+    if oracle == "toy":  # unset caps keep the toy machine's own defaults
+        caps = {"program_length_cap": cap, "step_budget": steps}
+        source = oracles.ToyMachineOracle(**{key: v for key, v in caps.items() if v is not None})
+    else:
+        source = oracles.compressor_oracle()
+    return oracles.bset(g.n, k, source).members
+
+
+def _config_echo() -> dict:
+    """The command's resolved options, as its report records them."""
+    return {k: v for k, v in click.get_current_context().params.items() if v is not None}
+
+
+def _file_digest(path) -> str:
+    return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _write_json(path, document: dict) -> None:
+    # default=str writes Fraction options (epsilon) as their text, e.g. "1/2"
+    Path(path).write_text(
+        json.dumps(document, sort_keys=True, indent=2, default=str) + "\n", encoding="utf-8"
     )
-
-
-def _require_file(path_text: str, what: str) -> Path:
-    p = Path(path_text)
-    if not p.is_file():
-        raise click.UsageError(f"{what} not found: {path_text}")
-    return p
 
 
 @click.group()
@@ -115,50 +158,36 @@ def cli() -> None:
 
 
 @cli.command("build-random")
-@click.option("--config", "config_path", type=str, default=None, help="JSON config file.")
-@click.option("--n", type=int, default=None, help="Left label length in bits.")
-@click.option("--d", type=int, default=None, help="Edge label length in bits.")
-@click.option("--m", type=int, default=None, help="Right label length in bits.")
-@click.option("--epsilon", type=str, default=None, help="Extractor error, e.g. 1/2.")
-@click.option("--delta-min", "delta_min", type=int, default=None, help="Required min right degree.")
-@click.option("--t", type=int, default=None, help="Degree threshold prefix parameter.")
-@click.option("--seed", type=int, default=None, help="Base search seed (u64).")
-@click.option("--max-attempts", type=int, default=None, help="Sampled attempts before failing.")
-@click.option("--budget", type=int, default=None, help="Max enumerated subsets per exact check.")
-@click.option("--out", "out_path", type=str, default=None, help="Graph file to write.")
-@click.option("--report", "report_path", type=str, default=None, help="Report file (default OUT.report.json).")
-def build_random(config_path, **flags) -> None:
+@config_option
+@click.option("--n", type=int, required=True, help="Left label length in bits.")
+@click.option("--d", type=int, required=True, help="Edge label length in bits.")
+@click.option("--m", type=int, required=True, help="Right label length in bits.")
+@click.option("--epsilon", type=RATIONAL, required=True, help="Extractor error, e.g. 1/2.")
+@click.option("--delta-min", type=int, required=True, help="Required min right degree.")
+@click.option("--t", type=int, required=True, help="Degree threshold prefix parameter.")
+@click.option("--seed", type=int, required=True, help="Base search seed (u64).")
+@click.option("--max-attempts", type=int, required=True, help="Sampled attempts before failing.")
+@click.option("--budget", type=int, default=DEFAULT_MAX_SUBSETS, show_default=True,
+              help="Max enumerated subsets per exact check.")
+@click.option("--out", type=OUTPUT_FILE, required=True, help="Graph file to write.")
+@click.option("--report", type=OUTPUT_FILE, help="Report file (default OUT.report.json).")
+def build_random(n, d, m, epsilon, delta_min, t, seed, max_attempts, budget, out, report) -> None:
     """Search for a fully verified random table graph and write it."""
-    cfg = _resolve(
-        _load_config(config_path),
-        flags,
-        ("n", "d", "m", "epsilon", "delta_min", "t", "seed", "max_attempts", "out_path"),
-    )
-    cfg.setdefault("budget", DEFAULT_MAX_SUBSETS)
-    epsilon = _parse_fraction(str(cfg["epsilon"]))
-    out = Path(cfg["out_path"])
-    report_path = Path(cfg.get("report_path") or str(out) + ".report.json")
+    out = Path(out)
+    report_path = report or str(out) + ".report.json"
+    head = {"command": "build-random", "config": _config_echo(), "generator_id": GENERATOR_ID}
     try:
         result = search_balanced(
-            cfg["n"], cfg["d"], cfg["m"], epsilon,
-            cfg["delta_min"], cfg["t"],
-            cfg["max_attempts"], cfg["seed"],
-            max_subsets=cfg["budget"],
+            n, d, m, epsilon, delta_min, t, max_attempts, seed, max_subsets=budget
         )
     except BalancedSearchError as exc:
         _write_json(report_path, {
-            "command": "build-random",
-            "config": _jsonable(cfg),
-            "generator_id": GENERATOR_ID,
-            "found": False,
-            "attempts": [r.to_dict() for r in exc.records],
+            **head, "found": False, "attempts": [r.to_dict() for r in exc.records],
         })
         raise CommandFailure(str(exc))
     save_graph(result.graph, out)
     _write_json(report_path, {
-        "command": "build-random",
-        "config": _jsonable(cfg),
-        "generator_id": GENERATOR_ID,
+        **head,
         "found": True,
         "attempt": result.attempt,
         "attempt_seed": result.seed,
@@ -170,162 +199,107 @@ def build_random(config_path, **flags) -> None:
 
 
 @cli.command("build-linear")
-@click.option("--config", "config_path", type=str, default=None, help="JSON config file.")
-@click.option("--n", type=int, default=None, help="Left label length in bits.")
-@click.option("--epsilon", type=str, default=None, help="Extractor error, e.g. 1/4.")
-@click.option("--c", type=int, default=None, help="Output-shortening constant (m = n - c*d).")
-@click.option("--kappa", type=float, default=None, help="Scale constant inside d.")
-@click.option("--s", "field_bits", type=int, default=None, help="Field degree of the expansion.")
-@click.option("--seed", type=int, default=None, help="Counter-expansion seed (u64).")
-@click.option("--table", "table_path", type=str, default=None, help="External expansion table file.")
-@click.option("--out", "out_path", type=str, default=None, help="Graph file to write.")
-def build_linear(config_path, **flags) -> None:
+@config_option
+@click.option("--n", type=int, required=True, help="Left label length in bits.")
+@click.option("--epsilon", type=RATIONAL, required=True, help="Extractor error, e.g. 1/4.")
+@click.option("--c", type=int, default=1, show_default=True,
+              help="Output-shortening constant (m = n - c*d).")
+@click.option("--kappa", type=float, default=1.0, show_default=True, help="Scale constant inside d.")
+@click.option("--s", type=int, default=16, show_default=True, help="Field degree of the expansion.")
+@click.option("--seed", type=int, help="Counter-expansion seed (u64).")
+@click.option("--table", type=click.Path(exists=True, dir_okay=False, path_type=Path),
+              help="External expansion table file.")
+@click.option("--out", type=OUTPUT_FILE, required=True, help="Graph file to write.")
+def build_linear(n, epsilon, c, kappa, s, seed, table, out) -> None:
     """Build a linear-backend graph with derived dimensions and write it."""
-    cfg = _resolve(
-        _load_config(config_path), flags, ("n", "epsilon", "out_path")
-    )
-    cfg.setdefault("c", 1)
-    cfg.setdefault("kappa", 1.0)
-    cfg.setdefault("field_bits", 16)
-    epsilon = _parse_fraction(str(cfg["epsilon"]))
-    d, m = derive_dims(cfg["n"], epsilon, cfg["c"], cfg["kappa"])
-    if m < 1:
-        raise ParameterError(
-            f"derived m = n - c*d = {cfg['n']} - {cfg['c']}*{d} = {m} < 1"
-        )
-    if cfg.get("table_path") is not None:
-        expansion = SeedExpansion(
-            "external", cfg["field_bits"], m, table_path=str(_require_file(cfg["table_path"], "expansion table"))
-        )
+    d, m = derive_dims(n, epsilon, c, kappa)
+    if table is not None:
+        expansion = SeedExpansion("external", s, m, table_path=str(table))
+    elif seed is None:
+        raise click.UsageError("build-linear needs --seed or --table")
     else:
-        if cfg.get("seed") is None:
-            raise click.UsageError("build-linear needs --seed or --table")
-        expansion = SeedExpansion("counter", cfg["field_bits"], m, seed=cfg["seed"])
-    graph = build_linear_graph(cfg["n"], epsilon, expansion, cfg["c"], cfg["kappa"])
-    delta_blocks, t = derive_amplification(cfg["n"], epsilon, d, cfg["c"])
+        expansion = SeedExpansion("counter", s, m, seed=seed)
+    graph = linear_graph(n, d, expansion)
+    delta_blocks, t = derive_amplification(n, epsilon, d, c)
     if not linearity_check(graph, y=0):
         raise CommandFailure("linearity self-check failed on edge label 0")
     guarantee = delta_guarantee(graph, t, delta_blocks) if t - graph.a >= 1 else False
-    out = Path(cfg["out_path"])
     save_graph(graph, out)
     click.echo(json.dumps({
-        "d": d, "m": m, "Delta": delta_blocks, "t": t,
-        "c": cfg["c"], "kappa": cfg["kappa"],
+        "d": d, "m": m, "Delta": delta_blocks, "t": t, "c": c, "kappa": kappa,
         "delta_guarantee": guarantee,
         "graph_digest": _file_digest(out),
     }, sort_keys=True))
 
 
 @cli.command("verify")
-@click.option("--config", "config_path", type=str, default=None, help="JSON config file.")
-@click.option("--graph", "graph_path", type=str, default=None, help="Graph file to verify.")
-@click.option("--epsilon", type=str, default=None, help="Extractor error bound.")
-@click.option("--k-min", type=int, default=None, help="First prefix parameter (default 1).")
-@click.option("--k-max", type=int, default=None, help="Last prefix parameter (default n).")
-@click.option("--delta-min", "delta_min", type=int, default=None, help="Required min right degree at t.")
-@click.option("--t", type=int, default=None, help="Degree threshold prefix parameter.")
-@click.option("--budget", type=int, default=None, help="Max enumerated subsets per exact check.")
-@click.option("--sampled-trials", type=int, default=None, help="Enable sampled fallback with this many trials.")
-@click.option("--seed", type=int, default=None, help="Seed for sampled checks.")
-@click.option("--out", "out_path", type=str, default=None, help="Report file to write.")
-def verify(config_path, **flags) -> None:
+@config_option
+@click.option("--graph", type=INPUT_FILE, required=True, help="Graph file to verify.")
+@click.option("--epsilon", type=RATIONAL, required=True, help="Extractor error bound.")
+@click.option("--k-min", type=int, help="First prefix parameter (default 1).")
+@click.option("--k-max", type=int, help="Last prefix parameter (default n).")
+@click.option("--delta-min", type=int, help="Required min right degree at t.")
+@click.option("--t", type=int, help="Degree threshold prefix parameter.")
+@click.option("--budget", type=int, default=DEFAULT_MAX_SUBSETS, show_default=True,
+              help="Max enumerated subsets per exact check.")
+@click.option("--sampled-trials", type=int, help="Enable sampled fallback with this many trials.")
+@click.option("--seed", type=int, default=0, show_default=True, help="Seed for sampled checks.")
+@click.option("--out", type=OUTPUT_FILE, help="Report file to write.")
+def verify(graph, epsilon, k_min, k_max, delta_min, t, budget, sampled_trials, seed, out) -> None:
     """Check extractor deviations over a k-range plus the degree guarantee."""
-    cfg = _resolve(_load_config(config_path), flags, ("graph_path", "epsilon"))
-    cfg.setdefault("budget", DEFAULT_MAX_SUBSETS)
-    cfg.setdefault("seed", 0)
-    graph_file = _require_file(cfg["graph_path"], "graph file")
-    graph = load_graph(graph_file)
-    epsilon = _parse_fraction(str(cfg["epsilon"]))
-    k_lo = cfg.get("k_min") or 1
-    k_hi = cfg.get("k_max") or graph.n
-    k_lo = max(k_lo, graph.a + 1)
+    g = load_graph(graph)
     reports = []
     all_pass = True
-    for k in range(k_lo, k_hi + 1):
+    for k in range(max(k_min or 1, g.a + 1), (k_max or g.n) + 1):
         try:
-            rep = verify_extractor_exact(graph, k, epsilon, max_subsets=cfg["budget"])
+            rep = verify_extractor_exact(g, k, epsilon, max_subsets=budget)
         except CapacityError:
-            if cfg.get("sampled_trials") is None:
+            if sampled_trials is None:
                 raise
-            rep = verify_extractor_sampled(
-                graph, k, epsilon, cfg["sampled_trials"], cfg["seed"]
-            )
+            rep = verify_extractor_sampled(g, k, epsilon, sampled_trials, seed)
         reports.append(rep)
         all_pass = all_pass and rep.passed
-    if cfg.get("delta_min") is not None and cfg.get("t") is not None:
-        if graph.backend_kind == "linear":
-            ok = delta_guarantee(graph, cfg["t"], cfg["delta_min"], seed=cfg["seed"])
-            reports_entry = {"kind": "delta-guarantee", "pass": ok,
-                             "t": cfg["t"], "Delta": cfg["delta_min"]}
-            all_pass = all_pass and ok
-        else:
-            rep = verify_min_degree(graph, cfg["t"], cfg["delta_min"])
-            reports_entry = rep.to_dict()
-            all_pass = all_pass and rep.passed
-    else:
-        reports_entry = None
     document = {
         "command": "verify",
-        "config": _jsonable(cfg),
-        "graph_digest": _file_digest(graph_file),
-        "pass": all_pass,
+        "config": _config_echo(),
+        "graph_digest": _file_digest(graph),
         "reports": [r.to_dict() for r in reports],
     }
-    if reports_entry is not None:
-        document["degree_report"] = reports_entry
-    if cfg.get("out_path"):
-        _write_json(Path(cfg["out_path"]), document)
+    if delta_min is not None and t is not None:
+        if g.backend_kind == "linear":
+            ok = delta_guarantee(g, t, delta_min, seed=seed)
+            document["degree_report"] = {"kind": "delta-guarantee", "pass": ok,
+                                         "t": t, "Delta": delta_min}
+        else:
+            rep = verify_min_degree(g, t, delta_min)
+            ok = rep.passed
+            document["degree_report"] = rep.to_dict()
+        all_pass = all_pass and ok
+    document["pass"] = all_pass
+    if out:
+        _write_json(out, document)
     click.echo("verify: PASS" if all_pass else "verify: FAIL")
     if not all_pass:
         raise CommandFailure("verification failed")
 
 
-def _resolve_bset(cfg: dict, graph) -> frozenset[int]:
-    if cfg.get("bset_path"):
-        return load_bset(_require_file(cfg["bset_path"], "B-set file")).members
-    oracle_name = cfg.get("oracle")
-    if oracle_name is None:
-        raise click.UsageError("need --bset FILE or --oracle NAME")
-    if cfg.get("k") is None:
-        raise click.UsageError("--oracle needs --k")
-    if oracle_name == "toy":
-        oracle = ToyMachineOracle(
-            program_length_cap=cfg.get("cap", 12),
-            step_budget=cfg.get("steps", 10_000),
-        )
-    elif oracle_name == "compressor":
-        oracle = compressor_oracle()
-    else:
-        raise click.UsageError(f"unknown oracle {oracle_name!r} (toy, compressor)")
-    return bset(graph.n, cfg["k"], oracle).members
-
-
 @cli.command("congestion")
-@click.option("--config", "config_path", type=str, default=None, help="JSON config file.")
-@click.option("--graph", "graph_path", type=str, default=None, help="Graph file.")
-@click.option("--bset", "bset_path", type=str, default=None, help="B-set file (JSON header + hex lines).")
-@click.option("--oracle", type=str, default=None, help="Oracle name instead of a file (toy, compressor).")
-@click.option("--k", type=int, default=None, help="Complexity level for the oracle.")
-@click.option("--cap", type=int, default=None, help="Toy-machine program length cap.")
-@click.option("--steps", type=int, default=None, help="Toy-machine step budget.")
-@click.option("--epsilon", type=str, default=None, help="Extractor error bound.")
-@click.option("--t", type=int, default=None, help="Classification threshold.")
-@click.option("--out", "out_path", type=str, default=None, help="Report file to write.")
-def congestion(config_path, **flags) -> None:
+@config_option
+@click.option("--graph", type=INPUT_FILE, required=True, help="Graph file.")
+@bset_options
+@click.option("--epsilon", type=RATIONAL, required=True, help="Extractor error bound.")
+@click.option("--t", type=int, required=True, help="Classification threshold.")
+@click.option("--out", type=OUTPUT_FILE, required=True, help="Report file to write.")
+def congestion(graph, epsilon, t, out, **source) -> None:
     """Classify a B-set into heavy right nodes and bad members."""
-    cfg = _resolve(_load_config(config_path), flags, ("graph_path", "epsilon", "t", "out_path"))
-    graph_file = _require_file(cfg["graph_path"], "graph file")
-    graph = load_graph(graph_file)
-    epsilon = _parse_fraction(str(cfg["epsilon"]))
-    members = _resolve_bset(cfg, graph)
-    report = congestion_report(graph, members, epsilon, cfg["t"])
-    document = {
+    g = load_graph(graph)
+    report = congestion_report(g, _bset_members(g, **source), epsilon, t)
+    _write_json(out, {
         "command": "congestion",
-        "config": _jsonable(cfg),
-        "graph_digest": _file_digest(graph_file),
+        "config": _config_echo(),
+        "graph_digest": _file_digest(graph),
         "report": report.to_dict(),
-    }
-    _write_json(Path(cfg["out_path"]), document)
+    })
     click.echo(f"congestion: bad_fraction={report.bad_fraction} "
                f"{'PASS' if report.bound_ok else 'FAIL'}")
     if not report.bound_ok:
@@ -333,42 +307,31 @@ def congestion(config_path, **flags) -> None:
 
 
 @cli.command("amplify")
-@click.option("--config", "config_path", type=str, default=None, help="JSON config file.")
-@click.option("--graph", "graph_path", type=str, default=None, help="Graph file.")
-@click.option("--epsilon", type=str, default=None, help="Extractor error bound.")
-@click.option("--delta-blocks", "delta_blocks", type=int, default=None, help="Left-neighbors per segment.")
-@click.option("--t", type=int, default=None, help="Amplification prefix parameter.")
-@click.option("--x", "x_hex", type=str, default=None, help="Input as hex (n bits).")
-@click.option("--index", "index", type=int, default=None, help="Emit only element i of the list.")
-@click.option("--bset", "bset_path", type=str, default=None, help="Score survival against this B-set.")
-@click.option("--oracle", type=str, default=None, help="Oracle name instead of a file.")
-@click.option("--k", type=int, default=None, help="Complexity level for the oracle.")
-@click.option("--cap", type=int, default=None, help="Toy-machine program length cap.")
-@click.option("--steps", type=int, default=None, help="Toy-machine step budget.")
-@click.option("--out", "out_path", type=str, default=None, help="List file to write.")
-def amplify_cmd(config_path, **flags) -> None:
+@config_option
+@click.option("--graph", type=INPUT_FILE, required=True, help="Graph file.")
+@click.option("--epsilon", type=RATIONAL, required=True, help="Extractor error bound.")
+@click.option("--delta-blocks", type=int, required=True, help="Left-neighbors per segment.")
+@click.option("--t", type=int, required=True, help="Amplification prefix parameter.")
+@click.option("--x", required=True, help="Input as hex (n bits).")
+@click.option("--index", type=int, help="Emit only element i of the list.")
+@bset_options
+@click.option("--out", type=OUTPUT_FILE, help="List file to write.")
+def amplify_cmd(graph, epsilon, delta_blocks, t, x, index, out, **source) -> None:
     """Emit the amplified list (or one indexed element) for an input."""
-    cfg = _resolve(
-        _load_config(config_path), flags,
-        ("graph_path", "epsilon", "delta_blocks", "t", "x_hex"),
-    )
-    graph_file = _require_file(cfg["graph_path"], "graph file")
-    graph = load_graph(graph_file)
-    epsilon = _parse_fraction(str(cfg["epsilon"]))
-    params = BalanceParams(epsilon=epsilon, Delta=cfg["delta_blocks"], t=cfg["t"])
-    x = from_hex(cfg["x_hex"], graph.n)
-    if cfg.get("index") is not None:
-        element = list_element(graph, params, x, cfg["index"])
-        line = to_hex(element, graph.n)
-        if cfg.get("out_path"):
-            Path(cfg["out_path"]).write_text(line + "\n", encoding="utf-8")
+    g = load_graph(graph)
+    params = BalanceParams(epsilon=epsilon, Delta=delta_blocks, t=t)
+    value = from_hex(x, g.n)
+    if index is not None:
+        line = to_hex(list_element(g, params, value, index), g.n)
+        if out:
+            Path(out).write_text(line + "\n", encoding="utf-8")
         click.echo(line)
         return
-    alist = amplify(graph, params, x)
-    if cfg.get("out_path"):
-        save_list(alist, cfg["out_path"], _file_digest(graph_file))
-    if cfg.get("bset_path") or cfg.get("oracle"):
-        members = _resolve_bset(cfg, graph)
+    alist = amplify(g, params, value)
+    if out:
+        save_list(alist, out, _file_digest(graph))
+    if source["bset"] or source["oracle"]:
+        members = _bset_members(g, **source)
         if not members:
             raise ParameterError("survival scoring needs a non-empty B")
         fraction = survival_fraction(alist, members)
@@ -377,11 +340,7 @@ def amplify_cmd(config_path, **flags) -> None:
         if not ok:
             raise CommandFailure("survival fraction below 1 - 2*sqrt(epsilon)")
     else:
-        click.echo(f"list of {len(alist)} elements for x={cfg['x_hex']}")
-
-
-def _jsonable(cfg: dict) -> dict:
-    return {k: v for k, v in sorted(cfg.items()) if v is not None}
+        click.echo(f"list of {len(alist)} elements for x={x}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -401,9 +360,6 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         click.echo(f"capacity exceeded: {exc}", err=True)
         return EXIT_CAPACITY
-    except BalancedSearchError as exc:
-        click.echo(f"search failed: {exc}", err=True)
-        return EXIT_FAILURE
     except BalexError as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_FAILURE

@@ -53,8 +53,8 @@ class TableBackend:
         expected = 1 << (n + d)
         if table.ndim != 1 or table.size != expected:
             raise FormatError(f"table must hold {expected} entries, got {table.size}")
-        if m < 64 and int(table.max()) >> m:
-            raise FormatError("table entry exceeds m bits")
+        if table.dtype.kind != "u" or (m < 64 and int(table.max()) >> m):
+            raise FormatError(f"table entries must be unsigned integers of at most m={m} bits")
         table.setflags(write=False)
         self.n = n
         self.d = d
@@ -113,9 +113,10 @@ class TableBackend:
         return out
 
     def payload(self) -> bytes:
-        entry_bytes = (self.m + 7) // 8
-        wide = self.table.astype("<u8").reshape(-1, 1).view(np.uint8)
-        return bytes([_BACKEND_TABLE]) + wide[:, :entry_bytes].tobytes()
+        raw = np.empty((self.table.size, (self.m + 7) // 8), dtype=np.uint8)
+        for i in range(raw.shape[1]):
+            raw[:, i] = self.table >> 8 * i  # assignment keeps the low byte
+        return bytes([_BACKEND_TABLE]) + raw.tobytes()
 
 
 class ExtractorGraph:
@@ -244,8 +245,7 @@ class BalanceParams:
 
     ``delta = sqrt(epsilon)`` is kept symbolic; whenever a decision compares
     against delta the comparison is squared so it stays exact even when
-    epsilon is not a perfect square.  ``s = delta * Delta`` is the light-node
-    occupancy bound.
+    epsilon is not a perfect square.
     """
 
     epsilon: Fraction
@@ -265,15 +265,6 @@ class BalanceParams:
     @property
     def delta_exact(self) -> Fraction | None:
         return frac_sqrt(self.epsilon)
-
-    @property
-    def delta(self) -> float:
-        exact = self.delta_exact
-        return float(exact) if exact is not None else float(self.epsilon) ** 0.5
-
-    @property
-    def s(self) -> float:
-        return self.delta * self.Delta
 
     def list_size(self, degree: int) -> int:
         return degree * self.Delta
@@ -321,9 +312,9 @@ def deserialize(data: bytes) -> ExtractorGraph:
                 f"table payload must be {expected} bytes, got {len(payload)}"
             )
         raw = np.frombuffer(payload, dtype=np.uint8).reshape(-1, entry_bytes)
-        wide = np.zeros((raw.shape[0], 8), dtype=np.uint8)
-        wide[:, :entry_bytes] = raw
-        values = wide.view("<u8").ravel().astype(_entry_dtype(m))
+        values = np.zeros(raw.shape[0], dtype=_entry_dtype(m))
+        for i in range(entry_bytes):
+            values |= raw[:, i].astype(values.dtype) << 8 * i
         return ExtractorGraph(n, d, m, table=values)
     if tag == _BACKEND_LINEAR:
         if not (1 <= n <= 64 and 1 <= m <= 64):

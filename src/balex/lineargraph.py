@@ -27,7 +27,7 @@ import json
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, log2
+from math import ceil, isfinite, log2
 
 import numpy as np
 
@@ -277,9 +277,12 @@ def derive_dims(n: int, epsilon: Fraction, c: int = 1, kappa: float = 1.0) -> tu
         raise ParameterError(f"epsilon must lie in (0,1), got {epsilon}")
     if n < 2:
         raise ParameterError("need n >= 2 to derive dimensions")
-    if c < 1 or kappa <= 0:
-        raise ParameterError(f"need c >= 1 and kappa > 0, got c={c} kappa={kappa}")
-    d = max(1, ceil(kappa * log2(n) ** 3 * log2(1 / epsilon) ** 2))
+    scaled = kappa * log2(n) ** 3 * log2(1 / epsilon) ** 2
+    if c < 1 or not (kappa > 0 and isfinite(scaled)):  # also rejects a NaN kappa
+        raise ParameterError(
+            f"need c >= 1 and kappa > 0 with a finite d, got c={c} kappa={kappa}"
+        )
+    d = max(1, ceil(scaled))
     return d, n - c * d
 
 

@@ -1,8 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 import balex
+
+# Fixed examples and no example database: every tier-1 run draws the same cases.
+settings.register_profile("tier1", derandomize=True, database=None, max_examples=25, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

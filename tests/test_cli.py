@@ -2,11 +2,15 @@ import json
 import math
 from fractions import Fraction
 
+import click
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import balex
-from balex.cli import main
+from balex.cli import cli, main
+from balex.randgraph import DEFAULT_MAX_SUBSETS
 
 
 def run_cli(*args):
@@ -162,15 +166,15 @@ def test_build_random_deterministic_reruns(tmp_path):
         report_a = json.load(fh)
     with open(str(out_b) + ".report.json") as fh:
         report_b = json.load(fh)
-    report_a["config"].pop("out_path")
-    report_b["config"].pop("out_path")
+    report_a["config"].pop("out")
+    report_b["config"].pop("out")
     assert report_a == report_b
 
 
 def test_build_random_config_file(tmp_path):
     config = {
         "n": 4, "d": 3, "m": 4, "epsilon": "1/2", "delta_min": 2, "t": 3,
-        "seed": 7, "max_attempts": 1000, "out_path": str(tmp_path / "c.bgex"),
+        "seed": 7, "max_attempts": 1000, "out": str(tmp_path / "c.bgex"),
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))
@@ -181,6 +185,184 @@ def test_build_random_config_file(tmp_path):
         "--out", tmp_path / "d.bgex",
     ) == 0
     assert (tmp_path / "c.bgex").read_bytes() != (tmp_path / "d.bgex").read_bytes()
+
+
+# --- --config -------------------------------------------------------------------
+
+
+def write_config(path, doc):
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def build_config(out):
+    return {
+        "n": 4, "d": 3, "m": 4, "epsilon": "1/2", "delta_min": 2, "t": 3,
+        "seed": 7, "max_attempts": 1000, "out": str(out),
+    }
+
+
+def test_config_keys_are_option_names(built, tmp_path, capsys):
+    # the README's keys: out, graph, x, s
+    cfg = write_config(tmp_path / "build.json", build_config(tmp_path / "g.bgex"))
+    assert run_cli("build-random", "--config", cfg) == 0
+    assert (tmp_path / "g.bgex").read_bytes() == built.read_bytes()
+    cfg = write_config(tmp_path / "verify.json", {
+        "graph": str(built), "epsilon": "1/2", "delta_min": 2, "t": 3,
+        "out": str(tmp_path / "r.json"),
+    })
+    assert run_cli("verify", "--config", cfg) == 0
+    assert json.loads((tmp_path / "r.json").read_text())["config"]["graph"] == str(built)
+    cfg = write_config(tmp_path / "amplify.json", {
+        "graph": str(built), "epsilon": "1/2", "delta_blocks": 2, "t": 3, "x": "b", "index": 5,
+    })
+    capsys.readouterr()
+    assert run_cli("amplify", "--config", cfg) == 0
+    from_config = capsys.readouterr().out
+    assert run_cli(
+        "amplify", "--graph", built, "--epsilon", "1/2", "--delta-blocks", 2,
+        "--t", 3, "--x", "b", "--index", 5,
+    ) == 0
+    assert capsys.readouterr().out == from_config
+    cfg = write_config(tmp_path / "linear.json", {
+        "n": 12, "epsilon": 0.25, "kappa": 0.02, "s": 8, "seed": 42,
+        "out": str(tmp_path / "a.bgex"),
+    })
+    assert run_cli("build-linear", "--config", cfg) == 0
+    assert run_cli(
+        "build-linear", "--n", 12, "--epsilon", "1/4", "--kappa", 0.02, "--s", 8,
+        "--seed", 42, "--out", tmp_path / "b.bgex",
+    ) == 0
+    assert (tmp_path / "a.bgex").read_bytes() == (tmp_path / "b.bgex").read_bytes()
+
+
+def test_config_values_are_checked_as_flag_text(built, tmp_path):
+    # "4" is what --n 4 passes; a string the flag would refuse is refused
+    doc = {**build_config(tmp_path / "g.bgex"), "n": "4", "max_attempts": "1000"}
+    assert run_cli("build-random", "--config", write_config(tmp_path / "a.json", doc)) == 0
+    assert (tmp_path / "g.bgex").read_bytes() == built.read_bytes()
+    doc = {"graph": str(built), "epsilon": "1/2", "k_max": "2", "out": str(tmp_path / "r.json")}
+    assert run_cli("verify", "--config", write_config(tmp_path / "b.json", doc)) == 0
+    assert [rep["k"] for rep in json.loads((tmp_path / "r.json").read_text())["reports"]] == [1, 2]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n", "four"), ("n", 4.5), ("n", True), ("n", [4]), ("budget", {"a": 1}),
+    ("epsilon", "half"), ("epsilon", "1/0"), ("out", ["g.bgex"]), ("report", False),
+])
+def test_config_wrong_typed_value_exits_one(tmp_path, capsys, key, value):
+    # the key under test comes from the config, every other option from a flag
+    flags = []
+    for name, flag_value in build_config(tmp_path / "g.bgex").items():
+        if name != key:
+            flags += ["--" + name.replace("_", "-"), flag_value]
+    cfg = write_config(tmp_path / "c.json", {key: value})
+    capsys.readouterr()
+    assert run_cli("build-random", "--config", cfg, *flags) == 1
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert not (tmp_path / "g.bgex").exists()
+
+
+@pytest.mark.parametrize("key", ["out_path", "graph_path", "config", "bogus"])
+def test_config_unknown_key_exits_one(tmp_path, key):
+    doc = {**build_config(tmp_path / "g.bgex"), key: "g.bgex"}
+    assert run_cli("build-random", "--config", write_config(tmp_path / "c.json", doc)) == 1
+    assert not (tmp_path / "g.bgex").exists()
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '"cfg"', "3", "null", "{not json", ""])
+def test_config_non_object_exits_one(tmp_path, text):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(text)
+    assert run_cli("verify", "--config", cfg) == 1
+
+
+def test_config_null_means_unset(built, tmp_path):
+    doc = {
+        "graph": str(built), "epsilon": "1/2", "budget": None, "k_max": None,
+        "sampled_trials": None, "out": str(tmp_path / "r.json"),
+    }
+    assert run_cli("verify", "--config", write_config(tmp_path / "v.json", doc)) == 0
+    echo = json.loads((tmp_path / "r.json").read_text())["config"]
+    assert echo["budget"] == DEFAULT_MAX_SUBSETS
+    assert "k_max" not in echo and "sampled_trials" not in echo
+    # a required option set to null is missing
+    doc = {**build_config(tmp_path / "g.bgex"), "seed": None}
+    assert run_cli("build-random", "--config", write_config(tmp_path / "b.json", doc)) == 1
+    # and a flag still fills it
+    assert run_cli("build-random", "--config", tmp_path / "b.json", "--seed", 7) == 0
+    assert (tmp_path / "g.bgex").read_bytes() == built.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def base_configs(built, tmp_path_factory):
+    """One valid config per command; each runs to exit 0."""
+    work = tmp_path_factory.mktemp("configs")
+    bset_path = work / "b.bset"
+    balex.save_bset(balex.oracles.explicit_bset(4, 2, {0, 3, 7, 12}), bset_path)
+    graph = str(built)
+    configs = {
+        "build-random": build_config(work / "g.bgex"),
+        "build-linear": {
+            "n": 12, "epsilon": "1/4", "c": 1, "kappa": 0.02, "s": 8, "seed": 42,
+            "out": str(work / "lin.bgex"),
+        },
+        "verify": {
+            "graph": graph, "epsilon": "1/2", "k_min": 1, "k_max": 4, "delta_min": 2,
+            "t": 3, "budget": 100000, "sampled_trials": 3, "seed": 0,
+            "out": str(work / "r.json"),
+        },
+        "congestion": {
+            "graph": graph, "bset": str(bset_path), "epsilon": "1/2", "t": 3,
+            "out": str(work / "c.json"),
+        },
+        "amplify": {
+            "graph": graph, "epsilon": "1/2", "delta_blocks": 2, "t": 3, "x": "0",
+            "oracle": "compressor", "k": 5, "cap": 12, "steps": 1000,
+            "out": str(work / "list.txt"),
+        },
+    }
+    for command, doc in configs.items():
+        assert run_cli(command, "--config", write_config(work / "base.json", doc)) == 0
+    return work, configs
+
+
+def wrong_value(param):
+    """JSON values the option's flag would refuse."""
+    structural = st.one_of(
+        st.booleans(),
+        st.lists(st.integers(), max_size=2),
+        st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+    )
+    if isinstance(param.type, (click.types.IntParamType, click.types.FloatParamType,
+                               balex.cli.Rational, click.Choice)):
+        structural = st.one_of(structural, st.text(alphabet="abcxyz", min_size=1))
+    if isinstance(param.type, click.types.IntParamType):
+        fractional = st.floats(-1e6, 1e6).filter(lambda v: not v.is_integer())
+        structural = st.one_of(structural, fractional)
+    return structural
+
+
+@given(data=st.data())
+def test_malformed_config_exits_one(base_configs, data):
+    work, configs = base_configs
+    command = data.draw(st.sampled_from(sorted(configs)), label="command")
+    doc = dict(configs[command])
+    params = {p.name: p for p in cli.commands[command].params}
+    mutation = data.draw(st.sampled_from(["wrong type", "junk key", "not an object"]))
+    if mutation == "wrong type":
+        key = data.draw(st.sampled_from(sorted(doc)), label="key")
+        doc[key] = data.draw(wrong_value(params[key]), label="value")
+    elif mutation == "junk key":
+        junk = data.draw(st.text(min_size=1, max_size=8).filter(lambda k: k not in params))
+        doc[junk] = data.draw(st.integers() | st.text(max_size=4), label="junk value")
+    else:
+        doc = data.draw(st.one_of(
+            st.none(), st.booleans(), st.integers(), st.text(max_size=4),
+            st.lists(st.integers(), max_size=3),
+        ), label="document")
+    cfg = write_config(work / "mutated.json", doc)
+    assert run_cli(command, "--config", cfg) == 1
 
 
 # --- build-linear --------------------------------------------------------------

@@ -15,7 +15,7 @@ from balex.errors import (
     ParameterError,
     ShapeError,
 )
-from balex.graphs import BGEX_MAGIC, BalanceParams, ExtractorGraph
+from balex.graphs import BGEX_MAGIC, BalanceParams, ExtractorGraph, _entry_dtype
 
 
 def brute_right_degrees(graph, k):
@@ -229,6 +229,40 @@ def test_serialized_size_formula(table_graph):
     assert len(data) == 19 + (1 << 7) * 1  # ceil(4/8) = 1 byte per entry
 
 
+@pytest.mark.parametrize("m", [1, 8, 9, 14, 17, 24, 33, 57, 64])
+def test_table_codec_every_entry_width(m):
+    # each entry is ceil(m/8) little-endian bytes, whatever the table's dtype
+    n, d, width = 3, 2, (m + 7) // 8
+    rng = np.random.Generator(np.random.Philox(key=m))
+    drawn = rng.integers(0, 1 << m, size=(1 << (n + d)) - 2, dtype=np.uint64)
+    values = [0, (1 << m) - 1] + [int(v) for v in drawn]
+    g = ExtractorGraph(n, d, m, table=np.array(values, dtype=_entry_dtype(m)))
+    data = balex.serialize(g)
+    payload = data[19:]
+    assert len(payload) == len(values) * width
+    for i, v in enumerate(values):
+        assert int.from_bytes(payload[i * width:(i + 1) * width], "little") == v
+    g2 = balex.deserialize(data)
+    assert g2.table.dtype == _entry_dtype(m)
+    assert [int(v) for v in g2.table] == values
+    assert balex.serialize(g2) == data
+    wide = ExtractorGraph(n, d, m, table=np.array(values, dtype=np.uint64))
+    assert balex.serialize(wide) == data
+
+
+def test_table_rejects_signed_non_integer_and_wide_entries():
+    tables = [
+        np.array([-1, 3, 5, 7, 1, 2, 3, 4], dtype=np.int64),
+        np.array([1, 3, 5, 7, 1, 2, 3, 4], dtype=np.int8),
+        np.arange(8, dtype=np.float64),
+        np.ones(8, dtype=bool),
+        np.array([16, 3, 5, 7, 1, 2, 3, 4], dtype=np.uint8),
+    ]
+    for table in tables:
+        with pytest.raises(FormatError, match="unsigned integers of at most m=4 bits"):
+            ExtractorGraph(2, 1, 4, table=table)
+
+
 def test_payload_byte_flip_changes_exactly_one_output(table_graph):
     data = bytearray(balex.serialize(table_graph))
     flip = 19 + 37
@@ -355,12 +389,9 @@ def test_balance_params_validation():
 def test_balance_params_exact_and_symbolic_delta():
     square = BalanceParams(epsilon=Fraction(1, 16), Delta=4, t=3)
     assert square.delta_exact == Fraction(1, 4)
-    assert square.delta == 0.25
-    assert square.s == 1.0
     rough = BalanceParams(epsilon=Fraction(1, 2), Delta=2, t=3)
     assert rough.delta_exact is None
     assert rough.to_dict()["delta"] == "sqrt(1/2)"
-    assert rough.delta ** 2 == pytest.approx(0.5)
 
 
 def test_balance_params_graph_compatibility(table_graph):

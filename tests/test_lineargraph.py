@@ -80,6 +80,12 @@ def test_derived_dimension_formula():
     assert m == 64 - d
 
 
+@pytest.mark.parametrize("kappa", [0.0, -1.0, math.nan, math.inf, 1e308])
+def test_derive_dims_rejects_kappa_without_finite_d(kappa):
+    with pytest.raises(ParameterError, match="finite d"):
+        derive_dims(64, Fraction(1, 4), kappa=kappa)
+
+
 def test_build_linear_graph_rejects_small_m():
     exp = SeedExpansion("counter", s=16, m=8, seed=1)
     with pytest.raises(ParameterError):
