@@ -5,6 +5,7 @@ from .errors import (
     BalexError,
     CapacityError,
     FormatError,
+    IndexRangeError,
     InvariantError,
     OracleRefusalError,
     ParameterError,

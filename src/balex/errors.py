@@ -13,6 +13,10 @@ class ParameterError(BalexError, ValueError):
     """A parameter is outside its documented domain."""
 
 
+class IndexRangeError(BalexError, IndexError):
+    """An index into a list, space or block is outside its range."""
+
+
 class CapacityError(BalexError, RuntimeError):
     """An exhaustive enumeration would exceed the configured budget.
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .bitstrings import check_bits
-from .errors import ParameterError
+from .errors import IndexRangeError, ParameterError
 
 MAX_FIELD_DEGREE = 32
 
@@ -193,7 +193,7 @@ class AffineSpace:
 
     def element(self, i: int) -> int:
         if i < 0 or i >> self.dim:
-            raise IndexError(f"element index {i} outside 0..2^{self.dim}-1")
+            raise IndexRangeError(f"element index {i} outside 0..2^{self.dim}-1")
         out = self.particular
         j = 0
         while i:

@@ -32,7 +32,7 @@ from math import ceil, isfinite, log2
 import numpy as np
 
 from .bitstrings import check_bits
-from .errors import CapacityError, FormatError, InvariantError, ParameterError
+from .errors import CapacityError, FormatError, IndexRangeError, InvariantError, ParameterError
 from .exact import ceil_log2, ceil_scaled_sqrt
 from .gf2 import AffineSpace, Field2s, Gf2Matrix, field_make, row_assemble, solve_affine
 from .graphs import _BACKEND_LINEAR, MAX_TABLE_BITS, ExtractorGraph, _entry_dtype
@@ -354,7 +354,7 @@ class PreimageList:
 
     def element(self, i: int) -> int:
         if not 0 <= i < self.Delta:
-            raise IndexError(f"preimage index {i} outside 0..{self.Delta - 1}")
+            raise IndexRangeError(f"preimage index {i} outside 0..{self.Delta - 1}")
         return self.space.element(i)
 
     def __len__(self) -> int:

@@ -17,12 +17,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 import numpy as np
 
 from .bitstrings import check_bits, from_hex, to_hex
-from .errors import FormatError, InvariantError, ParameterError
-from .exact import ge_scaled_sqrt, le_scaled_sqrt
+from .errors import FormatError, IndexRangeError, InvariantError, ParameterError
+from .exact import ceil_scaled_sqrt, le_scaled_sqrt
 from .graphs import BalanceParams, ExtractorGraph, PrefixView
 
 
@@ -53,12 +54,14 @@ def _checked_members(n: int, B) -> list[int]:
 
 def _classify(
     view: PrefixView, members: list[int], epsilon: Fraction
-) -> tuple[np.ndarray, frozenset[int]]:
-    """Member rows of a non-empty, checked B and its heavy right nodes.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Member rows of a non-empty, checked B and the heavy flag of every right node.
 
     The right side is tallied node by node, so it must fit the right-side
-    budget.  The counting consequence |heavy| <= eps * |R| is asserted; its
-    failure would mean a tallying bug, not bad input.
+    budget.  Counts are integers, so a count exceeds the threshold exactly
+    when it exceeds the threshold's floor: one integer comparison per node.
+    The counting consequence |heavy| <= eps * |R| is asserted; its failure
+    would mean a tallying bug, not bad input.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
@@ -67,27 +70,30 @@ def _classify(
     rows = view.member_rows(members)
     threshold = light_threshold(epsilon, len(members), view.graph.degree, view.r_size)
     counts = np.bincount(rows.ravel(), minlength=view.r_size)
-    num, den = threshold.numerator, threshold.denominator
-    heavy = frozenset(
-        int(z) for z in np.nonzero(counts)[0] if int(counts[z]) * den > num
-    )
-    if len(heavy) > epsilon * view.r_size:
+    is_heavy = counts > threshold.numerator // threshold.denominator
+    heavy_size = int(np.count_nonzero(is_heavy))
+    if heavy_size > epsilon * view.r_size:
         raise InvariantError(
-            f"heavy set of size {len(heavy)} exceeds eps*|R| = {epsilon * view.r_size}"
+            f"heavy set of size {heavy_size} exceeds eps*|R| = {epsilon * view.r_size}"
         )
-    return rows, heavy
+    return rows, is_heavy
+
+
+def _heavy_nodes(is_heavy: np.ndarray) -> frozenset[int]:
+    return frozenset(np.flatnonzero(is_heavy).tolist())
 
 
 def _bad(
-    members: list[int], rows: np.ndarray, heavy: frozenset[int], epsilon: Fraction
+    members: list[int], rows: np.ndarray, is_heavy: np.ndarray, epsilon: Fraction
 ) -> frozenset[int]:
-    degree = rows.shape[1]
-    bad = []
-    for x, row in zip(members, rows):
-        hits = sum(1 for z in row if int(z) in heavy)
-        if ge_scaled_sqrt(Fraction(hits), Fraction(degree), epsilon):
-            bad.append(x)
-    return frozenset(bad)
+    """Members whose heavy hits reach sqrt(eps) * D, counted by one flag lookup per edge.
+
+    Hits are integers, so hits >= D * sqrt(eps) exactly when hits >= g, the
+    least such integer; g is found once by the squaring of ``ge_scaled_sqrt``.
+    """
+    g = ceil_scaled_sqrt(rows.shape[1], epsilon)
+    bad = is_heavy[rows].sum(axis=1) >= g
+    return frozenset(compress(members, bad.tolist()))
 
 
 def classify_heavy(view: PrefixView, B, epsilon: Fraction) -> frozenset[int]:
@@ -95,7 +101,7 @@ def classify_heavy(view: PrefixView, B, epsilon: Fraction) -> frozenset[int]:
     members = _checked_members(view.graph.n, B)
     if not members:
         return frozenset()
-    return _classify(view, members, epsilon)[1]
+    return _heavy_nodes(_classify(view, members, epsilon)[1])
 
 
 def bad_set(view: PrefixView, B, epsilon: Fraction) -> frozenset[int]:
@@ -104,8 +110,8 @@ def bad_set(view: PrefixView, B, epsilon: Fraction) -> frozenset[int]:
     if not members:
         return frozenset()
     epsilon = Fraction(epsilon)
-    rows, heavy = _classify(view, members, epsilon)
-    return _bad(members, rows, heavy, epsilon)
+    rows, is_heavy = _classify(view, members, epsilon)
+    return _bad(members, rows, is_heavy, epsilon)
 
 
 @dataclass
@@ -159,7 +165,7 @@ def congestion_report(
         )
     view = graph.prefix_view(s)
     epsilon = Fraction(epsilon)
-    rows, heavy = _classify(view, members, epsilon)
+    rows, is_heavy = _classify(view, members, epsilon)
     return CongestionReport(
         n=graph.n,
         right_bits=view.m_k,
@@ -167,8 +173,8 @@ def congestion_report(
         s=s,
         epsilon=epsilon,
         threshold=light_threshold(epsilon, len(members), graph.degree, view.r_size),
-        heavy_set=heavy,
-        bad_set=_bad(members, rows, heavy, epsilon),
+        heavy_set=_heavy_nodes(is_heavy),
+        bad_set=_bad(members, rows, is_heavy, epsilon),
     )
 
 
@@ -187,7 +193,7 @@ class AmplifiedList:
 
     def block(self, y: int) -> tuple[int, ...]:
         if not 0 <= y < self.degree:
-            raise IndexError(f"edge label {y} outside 0..{self.degree - 1}")
+            raise IndexRangeError(f"edge label {y} outside 0..{self.degree - 1}")
         return self.elements[y * self.Delta : (y + 1) * self.Delta]
 
     @property
@@ -228,7 +234,7 @@ def list_element(graph: ExtractorGraph, params: BalanceParams, x: int, i: int) -
     check_bits(x, graph.n, "input")
     total = graph.degree * params.Delta
     if not 0 <= i < total:
-        raise IndexError(f"list index {i} outside 0..{total - 1}")
+        raise IndexRangeError(f"list index {i} outside 0..{total - 1}")
     y, j = divmod(i, params.Delta)
     view = graph.prefix_view(params.t)
     block, _ = graph.backend.blocks(view.m_k, [(y, view.ext_eval(x, y))], params.Delta)[0]

@@ -180,13 +180,9 @@ class ComplexityOracle(ABC):
     @abstractmethod
     def complexity(self, value: int, n: int) -> int | float: ...
 
+    @abstractmethod
     def members(self, n: int, k: int) -> frozenset[int]:
-        """Default brute-force enumeration of {x : complexity(x) <= k}."""
-        if n > MAX_BSET_BITS:
-            raise CapacityError(
-                f"enumerating 2^{n} strings exceeds the 2^{MAX_BSET_BITS} budget"
-            )
-        return frozenset(x for x in range(1 << n) if self.complexity(x, n) <= k)
+        """The set {x in {0,1}^n : complexity(x) <= k}."""
 
     def caps_info(self) -> dict:
         return {}
@@ -272,6 +268,30 @@ def explicit_oracle(sets: dict, require_monotone: bool = False) -> ExplicitOracl
     return ExplicitOracle(checked)
 
 
+_ROOT = 1  # the empty phrase; the phrase with bits b is the integer "1b" in binary
+
+
+def _lz_step(phrases: set[int], node: int, bit: int) -> int:
+    """Advance the parse by one bit from the matched phrase ``node``.
+
+    Returns the longer match when it is a known phrase; otherwise adds it to
+    ``phrases`` as a new phrase and returns ``_ROOT``.
+    """
+    longer = node << 1 | bit
+    if longer in phrases:
+        return longer
+    phrases.add(longer)
+    return _ROOT
+
+
+def _phrase_bits(number: int, fixed_index_bits: int | None, complete: bool) -> int:
+    """Bits emitted for phrase ``number`` (1-based): its index, plus one
+    literal bit when the phrase is complete and the index width adapts."""
+    if fixed_index_bits is not None:
+        return fixed_index_bits
+    return (number - 1).bit_length() + complete
+
+
 def lz_dictionary_cost(value: int, n: int, fixed_index_bits: int | None = None) -> int:
     """Bit cost of the incremental-dictionary parse of an n-bit string.
 
@@ -284,34 +304,45 @@ def lz_dictionary_cost(value: int, n: int, fixed_index_bits: int | None = None) 
     where the counting bound verifies.
     """
     check_bits(value, n, "input")
-    phrases: dict[tuple[int, int], int] = {}  # (length, bits) -> id
-    cost = 0
-    pos = 0
-    emitted = 0
-    while pos < n:
-        node_len = 0
-        node_bits = 0
-        while pos < n:
-            bit = (value >> (n - 1 - pos)) & 1
-            nxt = (node_len + 1, (node_bits << 1) | bit)
-            if nxt in phrases:
-                node_len, node_bits = nxt
-                pos += 1
-            else:
-                break
-        emitted += 1
-        if fixed_index_bits is not None:
-            index_bits = fixed_index_bits
-        else:
-            index_bits = max(0, (emitted - 1).bit_length())
-        if pos < n:
-            bit = (value >> (n - 1 - pos)) & 1
-            pos += 1
-            phrases[(node_len + 1, (node_bits << 1) | bit)] = emitted
-            cost += index_bits + (0 if fixed_index_bits is not None else 1)
-        else:
-            cost += index_bits
+    phrases: set[int] = set()
+    node, emitted, cost = _ROOT, 0, 0
+    for pos in range(n):
+        node = _lz_step(phrases, node, (value >> (n - 1 - pos)) & 1)
+        if node == _ROOT:
+            emitted += 1
+            cost += _phrase_bits(emitted, fixed_index_bits, True)
+    if node != _ROOT:
+        cost += _phrase_bits(emitted + 1, fixed_index_bits, False)
     return cost
+
+
+def lz_dictionary_costs(n: int, fixed_index_bits: int | None = None) -> list[int]:
+    """``lz_dictionary_cost`` of every n-bit string, indexed by its value.
+
+    The parse state after j bits depends only on those j bits, so one
+    depth-first walk over the 2^(n+1) prefixes yields every cost: it adds
+    each new phrase on the way down and removes it on the way back.
+    """
+    costs = [0] * (1 << n)
+    phrases: set[int] = set()
+
+    def walk(prefix: int, depth: int, node: int, emitted: int, cost: int) -> None:
+        if depth == n:
+            if node != _ROOT:
+                cost += _phrase_bits(emitted + 1, fixed_index_bits, False)
+            costs[prefix] = cost
+            return
+        for bit in (0, 1):
+            nxt = _lz_step(phrases, node, bit)
+            if nxt == _ROOT:
+                walk(prefix << 1 | bit, depth + 1, _ROOT, emitted + 1,
+                     cost + _phrase_bits(emitted + 1, fixed_index_bits, True))
+                phrases.remove(node << 1 | bit)
+            else:
+                walk(prefix << 1 | bit, depth + 1, nxt, emitted, cost)
+
+    walk(0, 0, _ROOT, 0, 0)
+    return costs
 
 
 class CompressorOracle(ComplexityOracle):
@@ -319,7 +350,9 @@ class CompressorOracle(ComplexityOracle):
 
     No relation to true description complexity is claimed; the counting bound
     is verified empirically per (n, k) and the oracle refuses pairs where it
-    fails (possible only with a fixed index width).
+    fails (possible only with a fixed index width).  ``members`` costs one
+    walk over the 2^(n+1) prefixes (``lz_dictionary_costs``), for n up to
+    ``max_n``.
     """
 
     name = "compressor"
@@ -336,9 +369,8 @@ class CompressorOracle(ComplexityOracle):
             raise CapacityError(
                 f"enumerating 2^{n} strings exceeds this oracle's 2^{self.max_n} budget"
             )
-        out = frozenset(
-            x for x in range(1 << n) if lz_dictionary_cost(x, n, self.fixed_index_bits) <= k
-        )
+        costs = lz_dictionary_costs(n, self.fixed_index_bits)
+        out = frozenset(x for x, cost in enumerate(costs) if cost <= k)
         if len(out) >= 1 << (k + 1):
             raise OracleRefusalError(
                 f"compressor proxy puts {len(out)} strings of length {n} at or "
@@ -404,15 +436,30 @@ def save_bset(b: BSet, path) -> None:
 
 
 def load_bset(path) -> BSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    """Read a B-set file.
+
+    Undecodable bytes and a malformed header raise ``FormatError``; a member
+    line that is not n-bit hex raises ``ShapeError``.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"B-set file {path} is not UTF-8 text: {exc}") from exc
     if not lines:
         raise FormatError(f"empty B-set file {path}")
     try:
         header = json.loads(lines[0])
-        n, k = header["n"], header["k"]
-    except (json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"bad B-set header in {path}: {exc}") from exc
+    if not isinstance(header, dict):
+        raise FormatError(f"B-set header in {path} is not a JSON object")
+    n, k = header.get("n"), header.get("k")
+    for name, value in (("n", n), ("k", k)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise FormatError(f"B-set header in {path}: {name} must be an integer, got {value!r}")
+    if not 1 <= n <= 64:  # the n of every graph file
+        raise FormatError(f"B-set header in {path}: n={n} outside 1..64")
     members = frozenset(from_hex(line, n) for line in lines[1:] if line)
     return BSet(
         n=n, k=k, members=members,

@@ -556,6 +556,31 @@ def test_amplify_list_and_indexed_element_agree(built, tmp_path, capsys):
     assert int(printed, 16) == elements[5]
 
 
+@pytest.mark.parametrize("index", [16, 99, -1])
+def test_amplify_index_out_of_range_exits_two(built, capsys, index):
+    code = run_cli(
+        "amplify", "--graph", built, "--epsilon", "1/2", "--delta-blocks", 2,
+        "--t", 3, "--x", "b", "--index", index,
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: list index {index} outside 0..15\n"
+
+
+@pytest.mark.parametrize("content", [
+    b"[1]\n0\n", b'{"n": "4", "k": 2}\n0\n', b'{"n": 4, "k": 2}\n\xff\n',
+])
+def test_congestion_malformed_bset_exits_two(built, tmp_path, capsys, content):
+    bset_path = tmp_path / "b.bset"
+    bset_path.write_bytes(content)
+    code = run_cli(
+        "congestion", "--graph", built, "--bset", bset_path,
+        "--epsilon", "1/2", "--t", 3, "--out", tmp_path / "c.json",
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "c.json").exists()
+
+
 def test_amplify_with_bset_prints_survival(built, tmp_path, capsys):
     b = balex.oracles.explicit_bset(4, 2, {1, 2})
     bset_path = tmp_path / "b.bset"

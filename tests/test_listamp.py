@@ -231,6 +231,75 @@ def test_congestion_linear_n64_members_past_int64(kind):
     assert balex.stat_distance(view, B) == distance
 
 
+# --- integer congestion against a per-member Fraction oracle -------------------------
+
+# the boundary pair brackets sqrt(eps) = 1/4 by 10^-30; the first has a 31-digit numerator
+ORACLE_EPSILONS = [
+    Fraction(1, 4), Fraction(1, 2), Fraction(3, 7), Fraction(1, 16),
+    Fraction(1, 16) + Fraction(1, 10**30), Fraction(1, 16) - Fraction(1, 10**30),
+    Fraction(10**30, 10**31 + 1), Fraction(1, 10**25), Fraction(7, 3),
+]
+
+
+def fraction_congestion(view, B, epsilon):
+    """Heavy and bad sets recounted from view.neighbors, one Fraction test per node or member."""
+    neighbors = {x: view.neighbors(x) for x in B}
+    counts = Counter(z for row in neighbors.values() for z in row)
+    threshold = Fraction(len(B) * view.graph.degree, view.r_size) / epsilon
+    heavy = {z for z, c in counts.items() if Fraction(c) > threshold}
+    bad = {x for x, row in neighbors.items()
+           if Fraction(sum(z in heavy for z in row), view.graph.degree) ** 2 >= epsilon}
+    return heavy, bad
+
+
+def concentrated_b(view, size, rng):
+    """The size left nodes with the most edges into one right node."""
+    into_z = (view.prefixed_rows() == rng.randrange(view.r_size)).sum(axis=1)
+    return set(np.argsort(-into_z, kind="stable")[:size].tolist())
+
+
+@pytest.mark.parametrize("n, d, m, skew", [
+    (4, 3, 4, 1), (4, 9, 4, 1), (8, 4, 8, 1), (10, 3, 6, 1), (6, 4, 6, 2), (8, 3, 8, 3),
+])
+def test_congestion_matches_fraction_oracle(n, d, m, skew):
+    # skew > 1 ANDs that many uniform draws per entry, so small right labels
+    # are common and the heavy and bad sets are not empty
+    draws = np.random.default_rng(n * 100 + d).integers(0, 1 << m, size=(skew, 1 << (n + d)))
+    g = ExtractorGraph(n, d, m, table=np.bitwise_and.reduce(draws).astype(np.uint16))
+    rng = random.Random(n * 100 + d)
+    nonempty = Counter()
+    for trial in range(10):
+        view = g.prefix_view(rng.randint(g.a + 1, n))
+        size = rng.randint(1, 1 << n)
+        if trial % 2:
+            B = set(rng.sample(range(1 << n), size))
+        else:
+            B = concentrated_b(view, size, rng)
+        s = len(B).bit_length() - 1
+        for eps in ORACLE_EPSILONS:
+            heavy, bad = fraction_congestion(view, B, eps)
+            assert balex.classify_heavy(view, B, eps) == heavy
+            assert balex.bad_set(view, B, eps) == bad
+            nonempty.update(heavy=bool(heavy), bad=bool(bad))
+            if s > g.a:
+                report = balex.congestion_report(g, B, eps, t=n)
+                assert (report.heavy_set, report.bad_set) == fraction_congestion(
+                    g.prefix_view(s), B, eps)
+    assert skew == 1 or (nonempty["heavy"] and nonempty["bad"])
+
+
+@pytest.mark.parametrize("epsilon", ORACLE_EPSILONS)
+def test_congestion_matches_fraction_oracle_linear_n64(epsilon):
+    g = _n64_counter_graph()
+    view = g.prefix_view(4)
+    rng = random.Random(9)
+    for B in (set(range(2**63, 2**63 + 16)), _kernel_coset_b(g),
+              {2**63 | rng.getrandbits(63) for _ in range(40)}):
+        heavy, bad = fraction_congestion(view, B, epsilon)
+        assert balex.classify_heavy(view, B, epsilon) == heavy
+        assert balex.bad_set(view, B, epsilon) == bad
+
+
 # --- amplification -----------------------------------------------------------------
 
 

@@ -1,18 +1,32 @@
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import balex
-from balex.errors import CapacityError, InvariantError, OracleRefusalError
+from balex.errors import (
+    BalexError,
+    CapacityError,
+    FormatError,
+    InvariantError,
+    OracleRefusalError,
+)
 from balex.oracles import (
     DEFAULT_STEP_BUDGET,
+    BSet,
     enumerate_toy_outputs,
     lz_dictionary_cost,
+    lz_dictionary_costs,
     run_toy_program,
     toy_complexity,
 )
 
 
+from lz_oracle import lz_cost
 from toy_machine_alt import alt_enumerate as _alt_enumerate
 
 
@@ -198,6 +212,46 @@ def test_compressor_refusal_with_fixed_width():
         balex.bset(7, refused_at, b)
 
 
+# --- compressor walk against the per-string parse (tests/lz_oracle.py) --------------
+
+
+@pytest.mark.parametrize("fixed_index_bits", [None, 1, 2, 3])
+def test_compressor_walk_matches_per_string_parse(fixed_index_bits):
+    for n in range(1, 13):
+        want = [lz_cost(x, n, fixed_index_bits) for x in range(1 << n)]
+        assert lz_dictionary_costs(n, fixed_index_bits) == want
+        assert [lz_dictionary_cost(x, n, fixed_index_bits) for x in range(1 << n)] == want
+
+
+def test_compressor_members_every_k_at_n14():
+    n = 14
+    costs = [lz_cost(x, n) for x in range(1 << n)]
+    oracle = balex.compressor_oracle()
+    for k in range(max(costs) + 2):
+        assert oracle.members(n, k) == {x for x, cost in enumerate(costs) if cost <= k}
+
+
+def test_compressor_fixed_width_refusals_match_per_string_parse():
+    oracle = balex.compressor_oracle(fixed_index_bits=1)
+    refusals = 0
+    for n in range(1, 11):
+        costs = [lz_cost(x, n, 1) for x in range(1 << n)]
+        for k in range(max(costs) + 2):
+            want = {x for x, cost in enumerate(costs) if cost <= k}
+            if len(want) >= 1 << (k + 1):
+                refusals += 1
+                with pytest.raises(OracleRefusalError):
+                    oracle.members(n, k)
+            else:
+                assert oracle.members(n, k) == want
+    assert refusals
+
+
+def test_compressor_capacity():
+    with pytest.raises(CapacityError):
+        balex.compressor_oracle(max_n=10).members(11, 5)
+
+
 # --- b-set files ------------------------------------------------------------------
 
 
@@ -214,3 +268,53 @@ def test_explicit_bset_wrapper():
     b = balex.oracles.explicit_bset(4, 2, {0, 15})
     assert b.source == "explicit"
     assert b.s == 1
+
+
+@pytest.mark.parametrize("content", [
+    b"[1]\n0\n",                       # header not an object
+    b'{"n": "4", "k": 2}\n0\n',         # n not an integer
+    b'{"n": 4, "k": 2.5}\n',
+    b'{"n": true, "k": 1}\n',
+    b'{"k": 1}\n',
+    b'{"n": 0, "k": 1}\n',               # n outside 1..64
+    b'{"n": 65, "k": 1}\n',
+    b'{"n": 4, "k": 1}\n\xff\xfe\n',      # not UTF-8
+    b"{not json\n",
+    b"",
+])
+def test_load_bset_refuses_malformed_header(tmp_path, content):
+    path = tmp_path / "b.bset"
+    path.write_bytes(content)
+    with pytest.raises(FormatError):
+        balex.load_bset(path)
+
+
+def _bset_file_bytes():
+    """Mostly a valid header with hex members, each part sometimes garbage; or raw bytes."""
+    value = st.one_of(
+        st.integers(-2, 70), st.integers(), st.text(max_size=3), st.none(), st.booleans(),
+        st.floats(allow_nan=False), st.lists(st.integers(0, 3), max_size=2),
+    )
+    valid = st.fixed_dictionaries({"n": st.integers(1, 10), "k": st.integers(0, 9)})
+    header = st.one_of(
+        valid, valid, st.fixed_dictionaries({"n": value, "k": value}), value,
+    ).map(json.dumps).map(str.encode)
+    hex_line = st.integers(0, 1023).map(lambda v: f"{v:x}".encode())
+    line = st.one_of(hex_line, hex_line, st.binary(max_size=4))
+    structured = st.tuples(header, st.lists(line, max_size=4)).map(
+        lambda t: b"\n".join([t[0], *t[1]]))
+    return st.one_of(structured, structured, st.binary(max_size=60))
+
+
+@settings(max_examples=100)
+@given(data=_bset_file_bytes())
+def test_load_bset_bytes_give_bset_or_balex_error(data):
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "b.bset"
+        path.write_bytes(data)
+        try:
+            b = balex.load_bset(path)
+        except BalexError:
+            return
+    assert isinstance(b, BSet) and 1 <= b.n <= 64
+    assert all(0 <= x < 1 << b.n for x in b.members)
