@@ -19,8 +19,8 @@ from pathlib import Path
 import click
 
 from . import oracles
-from .bitstrings import from_hex, to_hex
-from .errors import BalexError, CapacityError, ParameterError
+from .bitstrings import from_hex, json_object, read_text, to_hex
+from .errors import BalexError, CapacityError, FormatError, ParameterError
 from .graphs import BalanceParams, load_graph, save_graph
 from .lineargraph import (
     SeedExpansion,
@@ -87,11 +87,9 @@ def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -
     if path is None:
         return
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise click.BadParameter(f"not a readable JSON file: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise click.BadParameter("must hold a JSON object")
+        doc = json_object(read_text(path, "config file"), "config file")
+    except FormatError as exc:
+        raise click.BadParameter(str(exc)) from exc
     names = {p.name for p in ctx.command.params if p is not param}
     for key, value in doc.items():
         if key not in names:

@@ -10,14 +10,13 @@ negative; left degrees never change under truncation.
 from __future__ import annotations
 
 import hashlib
-import json
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .bitstrings import check_bits
+from .bitstrings import check_bits, json_object
 from .errors import BackendError, CapacityError, FormatError, ParameterError
 from .exact import frac_sqrt
 
@@ -327,13 +326,9 @@ def deserialize(data: bytes) -> ExtractorGraph:
             raise FormatError(
                 f"descriptor length field says {desc_len}, payload has {len(body)} bytes"
             )
-        try:
-            descriptor = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise FormatError(f"bad linear descriptor: {exc}") from exc
         from .lineargraph import family_from_descriptor
 
-        family = family_from_descriptor(descriptor, n=n, d=d)
+        family = family_from_descriptor(json_object(body, "linear descriptor"), n=n, d=d)
         if family.m != m:
             raise FormatError(f"descriptor produces {family.m}-bit outputs, header says m={m}")
         return ExtractorGraph(n, d, m, family=family)

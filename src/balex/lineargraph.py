@@ -31,7 +31,7 @@ from math import ceil, isfinite, log2
 
 import numpy as np
 
-from .bitstrings import check_bits
+from .bitstrings import check_bits, json_object, read_text
 from .errors import CapacityError, FormatError, IndexRangeError, InvariantError, ParameterError
 from .exact import ceil_log2, ceil_scaled_sqrt
 from .gf2 import AffineSpace, Field2s, Gf2Matrix, field_make, row_assemble, solve_affine
@@ -52,17 +52,26 @@ class SeedExpansion:
     table_path: str | None = None
 
     def __post_init__(self) -> None:
+        """Check every field; graph-file descriptors are checked only here."""
         if self.scheme not in (COUNTER_SCHEME, EXTERNAL_SCHEME):
-            raise ParameterError(f"unknown expansion scheme {self.scheme!r}")
+            raise ParameterError(
+                f"expansion scheme must be a JSON str, 'counter' or 'external', got {self.scheme!r}"
+            )
+        counter = self.scheme == COUNTER_SCHEME
+        source = ("seed", int) if counter else ("table_path", str)
+        for name, kind in (("s", int), ("m", int), source):
+            value = getattr(self, name)
+            if type(value) is not kind:
+                raise ParameterError(
+                    f"{self.scheme} expansion field {name!r} must be a JSON {kind.__name__}, "
+                    f"got {value!r}"
+                )
         if self.m < 1:
             raise ParameterError(f"expansion output length m={self.m} must be >= 1")
-        if self.scheme == COUNTER_SCHEME:
-            if self.seed is None or not 0 <= self.seed < 1 << 64:
-                raise ParameterError("counter expansion needs a seed in [0, 2^64)")
-        else:
-            if self.table_path is None:
-                raise ParameterError("external expansion needs a table file path")
+        if not counter:
             object.__setattr__(self, "_table", _load_pair_table(self.table_path, self.s, self.m))
+        elif not 0 <= self.seed < 1 << 64:
+            raise ParameterError("counter expansion needs a seed in [0, 2^64)")
 
     def pairs(self, y: int) -> list[tuple[int, int]]:
         if self.scheme == COUNTER_SCHEME:
@@ -94,28 +103,23 @@ class SeedExpansion:
 
 
 def _load_pair_table(path: str, s: int, m: int) -> list[list[tuple[int, int]]]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FormatError(f"cannot load expansion table {path}: {exc}") from exc
+    what = f"expansion table {path}"
+    doc = json_object(read_text(path, "expansion table"), what)
     if doc.get("s") != s or doc.get("m") != m:
         raise FormatError(
-            f"expansion table {path} carries s={doc.get('s')} m={doc.get('m')}, "
+            f"{what} carries s={doc.get('s')} m={doc.get('m')}, "
             f"descriptor says s={s} m={m}"
         )
+    rows = doc.get("pairs")
+    if not isinstance(rows, list) or not rows:
+        raise FormatError(f"{what}: pairs must be a non-empty list of edge labels")
     table = []
-    for y, rows in enumerate(doc.get("pairs", [])):
-        if len(rows) != m:
-            raise FormatError(f"edge label {y}: expected {m} pairs, got {len(rows)}")
-        checked = []
-        for point, h in rows:
-            check_bits(point, s, "table point")
-            check_bits(h, s, "table mask")
-            checked.append((point, h))
-        table.append(checked)
-    if not table:
-        raise FormatError(f"expansion table {path} lists no edge labels")
+    for y, pairs in enumerate(rows):
+        if not (isinstance(pairs, list) and len(pairs) == m
+                and all(isinstance(pair, list) and len(pair) == 2 for pair in pairs)):
+            raise FormatError(f"{what}: edge label {y} must list {m} [point, mask] pairs")
+        table.append([(check_bits(point, s, "table point"), check_bits(h, s, "table mask"))
+                      for point, h in pairs])
     return table
 
 
@@ -241,28 +245,15 @@ def _span_members(vectors: list[int]) -> np.ndarray:
 
 
 def family_from_descriptor(descriptor: dict, *, n: int, d: int) -> LinearFamily:
+    """The family a graph file's descriptor names; ``SeedExpansion`` checks its fields."""
     try:
-        scheme = descriptor["id"]
-        s = descriptor["s"]
-        m = descriptor["m"]
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"linear descriptor missing fields: {descriptor!r}") from exc
-    fields = {"s": int, "m": int}
-    if scheme == COUNTER_SCHEME:
-        fields["seed"] = int
-    elif scheme == EXTERNAL_SCHEME:
-        fields["table"] = str
-    for name, kind in fields.items():
-        if type(descriptor.get(name)) is not kind:
-            raise FormatError(f"linear descriptor field {name!r} must be a JSON {kind.__name__}")
-    try:
-        if scheme == COUNTER_SCHEME:
-            expansion = SeedExpansion(scheme, s, m, seed=descriptor["seed"])
-        else:
-            expansion = SeedExpansion(scheme, s, m, table_path=descriptor["table"])
+        expansion = SeedExpansion(
+            descriptor.get("id"), descriptor.get("s"), descriptor.get("m"),
+            seed=descriptor.get("seed"), table_path=descriptor.get("table"),
+        )
         return LinearFamily(n, d, expansion)
     except ParameterError as exc:
-        raise FormatError(str(exc)) from exc
+        raise FormatError(f"linear descriptor: {exc}") from exc
 
 
 def linear_graph(n: int, d: int, expansion: SeedExpansion) -> ExtractorGraph:

@@ -14,15 +14,14 @@ squaring, so decisions stay exact for every rational eps.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 
 import numpy as np
 
-from .bitstrings import check_bits, from_hex, to_hex
-from .errors import FormatError, IndexRangeError, InvariantError, ParameterError
+from .bitstrings import check_bits, read_hex_file, to_hex, write_hex_file
+from .errors import IndexRangeError, InvariantError, ParameterError
 from .exact import ceil_scaled_sqrt, le_scaled_sqrt
 from .graphs import BalanceParams, ExtractorGraph, PrefixView
 
@@ -259,23 +258,9 @@ def save_list(alist: AmplifiedList, path, graph_digest: str) -> None:
         "graph_digest": graph_digest,
         "padded_labels": list(alist.padded_labels),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")))
-        fh.write("\n")
-        for e in alist.elements:
-            fh.write(to_hex(e, alist.n))
-            fh.write("\n")
+    write_hex_file(path, header, alist.elements, alist.n)
 
 
 def load_list(path) -> tuple[dict, list[int]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise FormatError(f"empty list file {path}")
-    try:
-        header = json.loads(lines[0])
-        n = header["n"]
-    except (json.JSONDecodeError, KeyError) as exc:
-        raise FormatError(f"bad list header in {path}: {exc}") from exc
-    elements = [from_hex(line, n) for line in lines[1:] if line]
-    return header, elements
+    """Header and elements of a list file; malformed input raises a ``BalexError``."""
+    return read_hex_file(path, "list file")

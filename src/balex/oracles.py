@@ -35,14 +35,13 @@ aborts.  An aborted program produces no output at all.
 
 from __future__ import annotations
 
-import json
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bitstrings import check_bits, from_hex, to_hex
-from .errors import CapacityError, FormatError, InvariantError, OracleRefusalError
+from .bitstrings import check_bits, read_hex_file, write_hex_file
+from .errors import CapacityError, FormatError, InvariantError, OracleRefusalError, ParameterError
 
 PUSH0, PUSH1, DUP, DROP, OUT, LOOP, END, HALT = range(8)
 
@@ -52,6 +51,13 @@ DEFAULT_STEP_BUDGET = 10**4
 MAX_BSET_BITS = 24
 
 INFINITE = math.inf
+
+
+def counting_bound(k: int) -> int:
+    """2^(k+1): every set {x : complexity(x) <= k} has fewer members."""
+    if k < 0:
+        raise ParameterError(f"complexity level k={k} must be >= 0")
+    return 1 << (k + 1)
 
 
 def _decode_opcodes(program: int, length: int) -> list[int] | None:
@@ -251,7 +257,7 @@ def explicit_oracle(sets: dict, require_monotone: bool = False) -> ExplicitOracl
         members = frozenset(mem)
         for x in members:
             check_bits(x, n, f"member of injected ({n},{k}) set")
-        if len(members) >= 1 << (k + 1):
+        if len(members) >= counting_bound(k):
             raise InvariantError(
                 f"injected set for (n={n}, k={k}) has {len(members)} members, "
                 f"breaking the < 2^{k + 1} counting bound"
@@ -371,7 +377,7 @@ class CompressorOracle(ComplexityOracle):
             )
         costs = lz_dictionary_costs(n, self.fixed_index_bits)
         out = frozenset(x for x, cost in enumerate(costs) if cost <= k)
-        if len(out) >= 1 << (k + 1):
+        if len(out) >= counting_bound(k):
             raise OracleRefusalError(
                 f"compressor proxy puts {len(out)} strings of length {n} at or "
                 f"below {k} bits, breaking the < 2^{k + 1} counting bound"
@@ -409,7 +415,7 @@ def bset(n: int, k: int, oracle: ComplexityOracle, max_n: int = MAX_BSET_BITS) -
     if n > max_n:
         raise CapacityError(f"n={n} exceeds the enumeration budget n<={max_n}")
     members = oracle.members(n, k)
-    if len(members) >= 1 << (k + 1):
+    if len(members) >= counting_bound(k):
         raise InvariantError(
             f"oracle {oracle.name} yields {len(members)} members for (n={n}, k={k}), "
             f"breaking the < 2^{k + 1} counting bound"
@@ -427,12 +433,7 @@ def explicit_bset(n: int, k: int, members) -> BSet:
 
 def save_bset(b: BSet, path) -> None:
     header = {"n": b.n, "k": b.k, "source": b.source, "caps": b.caps}
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")))
-        fh.write("\n")
-        for x in sorted(b.members):
-            fh.write(to_hex(x, b.n))
-            fh.write("\n")
+    write_hex_file(path, header, sorted(b.members), b.n)
 
 
 def load_bset(path) -> BSet:
@@ -441,28 +442,12 @@ def load_bset(path) -> BSet:
     Undecodable bytes and a malformed header raise ``FormatError``; a member
     line that is not n-bit hex raises ``ShapeError``.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"B-set file {path} is not UTF-8 text: {exc}") from exc
-    if not lines:
-        raise FormatError(f"empty B-set file {path}")
-    try:
-        header = json.loads(lines[0])
-    except (ValueError, RecursionError) as exc:
-        raise FormatError(f"bad B-set header in {path}: {exc}") from exc
-    if not isinstance(header, dict):
-        raise FormatError(f"B-set header in {path} is not a JSON object")
-    n, k = header.get("n"), header.get("k")
-    for name, value in (("n", n), ("k", k)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise FormatError(f"B-set header in {path}: {name} must be an integer, got {value!r}")
-    if not 1 <= n <= 64:  # the n of every graph file
-        raise FormatError(f"B-set header in {path}: n={n} outside 1..64")
-    members = frozenset(from_hex(line, n) for line in lines[1:] if line)
+    header, members = read_hex_file(path, "B-set file")
+    k = header.get("k")
+    if type(k) is not int:
+        raise FormatError(f"B-set header in {path}: k must be an integer, got {k!r}")
     return BSet(
-        n=n, k=k, members=members,
+        n=header["n"], k=k, members=frozenset(members),
         source=header.get("source", "explicit"),
         caps=header.get("caps"),
     )

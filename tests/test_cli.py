@@ -581,6 +581,32 @@ def test_congestion_malformed_bset_exits_two(built, tmp_path, capsys, content):
     assert not (tmp_path / "c.json").exists()
 
 
+@pytest.mark.parametrize("k", [-1, -5])
+def test_congestion_negative_oracle_level_exits_two(built, tmp_path, capsys, k):
+    code = run_cli(
+        "congestion", "--graph", built, "--oracle", "compressor", "--k", k,
+        "--epsilon", "1/2", "--t", 3, "--out", tmp_path / "c.json",
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: complexity level k={k} must be >= 0\n"
+    assert not (tmp_path / "c.json").exists()
+
+
+@pytest.mark.parametrize("content", [
+    "[1]", '{"s": 16, "m": 50, "pairs": 5}', '{"s": 16, "m": 50, "pairs": [[1]]}',
+])
+def test_build_linear_malformed_table_exits_two(tmp_path, capsys, content):
+    table = tmp_path / "t.json"
+    table.write_text(content)
+    code = run_cli(
+        "build-linear", "--n", 64, "--epsilon", "1/4", "--kappa", 0.015625,
+        "--table", table, "--out", tmp_path / "lin.bgex",
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: expansion table ")
+    assert not (tmp_path / "lin.bgex").exists()
+
+
 def test_amplify_with_bset_prints_survival(built, tmp_path, capsys):
     b = balex.oracles.explicit_bset(4, 2, {1, 2})
     bset_path = tmp_path / "b.bset"

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import balex
 from balex.errors import (
+    BalexError,
     CapacityError,
     FormatError,
     ParameterError,
@@ -313,6 +314,7 @@ BAD_DESCRIPTORS = {
     "s-str": {"s": "8"},
     "m-str": {"m": "8"},
     "table-int": {"id": "external", "table": 0},
+    "unknown-id": {"id": "bogus", "s": 4, "m": 4},
 }
 
 
@@ -340,6 +342,51 @@ def test_deserialize_rejects_mistyped_descriptor_fields(fields):
     assert balex.deserialize(linear_file_with()).n == 12
     with pytest.raises(FormatError, match="must be a JSON"):
         balex.deserialize(linear_file_with(**fields))
+
+
+@pytest.fixture(scope="module")
+def pair_table(tmp_path_factory):
+    """An external-expansion table for the s=8, m=8 descriptors of ``linear_file_with``."""
+    from balex.lineargraph import save_pair_table
+
+    path = tmp_path_factory.mktemp("descriptor") / "pairs.json"
+    save_pair_table(path, 8, 8, [[(y, i + 1) for i in range(8)] for y in range(16)])
+    return str(path)
+
+
+def _descriptors(table):
+    """A valid counter or external descriptor, one with fields dropped or garbled, or junk."""
+    junk = st.one_of(
+        st.integers(-2, 70), st.integers(), st.text(max_size=3), st.none(), st.booleans(),
+        st.floats(allow_nan=False), st.lists(st.integers(0, 3), max_size=2),
+    )
+    counter = st.fixed_dictionaries({
+        "id": st.just("counter"), "s": st.integers(1, 16), "m": st.just(8),
+        "seed": st.integers(0, 2**64 - 1),
+    })
+    external = st.fixed_dictionaries(
+        {"id": st.just("external"), "s": st.just(8), "m": st.just(8), "table": st.just(table)})
+    mutated = st.fixed_dictionaries({}, optional={
+        "id": st.one_of(st.sampled_from(["counter", "external"]), junk),
+        "s": st.one_of(st.integers(0, 40), junk),
+        "m": st.one_of(st.just(8), junk),
+        "seed": st.one_of(st.integers(-1, 2**65), junk),
+        "table": st.one_of(st.just(table), st.just(table + ".missing"), junk),
+    })
+    return st.one_of(counter, external, mutated, mutated, junk)
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_linear_descriptor_json_gives_graph_or_balex_error(pair_table, data):
+    body = json.dumps(data.draw(_descriptors(pair_table))).encode("utf-8")
+    blob = BGEX_MAGIC + struct.pack("<HIII", 1, 12, 4, 8) + bytes([1])
+    try:
+        graph = balex.deserialize(blob + struct.pack("<I", len(body)) + body)
+    except BalexError:
+        return
+    assert (graph.n, graph.d, graph.m) == (12, 4, 8)
+    assert 0 <= graph.ext_eval(0xABC, 15) < 1 << 8
 
 
 def test_save_load_graph(tmp_path, table_graph):

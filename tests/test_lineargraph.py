@@ -1,12 +1,16 @@
 import json
 import math
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import balex
-from balex.errors import BackendError, FormatError, ParameterError
+from balex.errors import BackendError, BalexError, FormatError, ParameterError
 from balex.gf2 import field_make
 from balex.lineargraph import (
     SeedExpansion,
@@ -68,6 +72,60 @@ def test_external_expansion_bad_files(tmp_path):
     save_pair_table(mismatched, s=4, m=2, pairs=[[(0, 0), (0, 0)]])
     with pytest.raises(FormatError):
         SeedExpansion("external", s=3, m=2, table_path=str(mismatched))
+
+
+@pytest.mark.parametrize("content", [
+    b"[1]",                                            # not a JSON object
+    b'{"s": 3, "m": 2, "pairs": 5}',                   # pairs not a list
+    b'{"s": 3, "m": 2, "pairs": []}',                  # no edge labels
+    b'{"s": 3, "m": 2, "pairs": [[1]]}',               # a row that is not pairs
+    b'{"s": 3, "m": 2, "pairs": [[[1, 2], [1]]]}',     # a pair of one entry
+    b'{"s": 3, "m": 2, "pairs": [[[1, 2], [3, 4, 5]]]}',
+    b'{"s": 3, "m": 2, "pairs": [[[1, 2]]]}',          # fewer than m pairs
+    b'{"s": 3, "m": 2, "pairs": [[[1, 2], [3, 4]]]}\xff',  # not UTF-8
+    b'{"s": 3, "m": 2, "pairs": [[[1, 2], [3, 8]]]}',  # mask past s bits
+    b'{"s": 3, "m": 2, "pairs": [[[1, 2], [3, true]]]}',
+])
+def test_external_expansion_malformed_tables(tmp_path, content):
+    path = tmp_path / "pairs.json"
+    path.write_bytes(content)
+    with pytest.raises(BalexError):
+        SeedExpansion("external", s=3, m=2, table_path=str(path))
+
+
+def _pair_table_bytes():
+    """A valid s=3, m=2 table, one with some part garbage, or raw bytes."""
+    junk = st.one_of(
+        st.integers(-2, 9), st.text(max_size=2), st.none(), st.booleans(),
+        st.floats(allow_nan=False), st.lists(st.integers(0, 7), max_size=3),
+    )
+    pair = st.lists(st.integers(0, 7), min_size=2, max_size=2)
+    rows = st.lists(st.lists(pair, min_size=2, max_size=2), min_size=1, max_size=3)
+    bad_rows = st.lists(st.one_of(st.lists(st.one_of(pair, junk), max_size=3), junk), max_size=3)
+    valid = st.fixed_dictionaries({"s": st.just(3), "m": st.just(2), "pairs": rows})
+    mutated = st.fixed_dictionaries({
+        "s": st.one_of(st.just(3), junk),
+        "m": st.one_of(st.just(2), junk),
+        "pairs": st.one_of(rows, bad_rows, junk),
+    })
+    text = st.one_of(valid, mutated, mutated, junk).map(json.dumps).map(str.encode)
+    return st.one_of(text, text, st.binary(max_size=40))
+
+
+@settings(max_examples=100)
+@given(data=_pair_table_bytes())
+def test_pair_table_bytes_give_expansion_or_balex_error(data):
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "pairs.json"
+        path.write_bytes(data)
+        try:
+            exp = SeedExpansion("external", s=3, m=2, table_path=str(path))
+        except BalexError:
+            return
+    for y in range(len(json.loads(data)["pairs"])):
+        pairs = exp.pairs(y)
+        assert len(pairs) == 2
+        assert all(type(v) is int and 0 <= v < 8 for pair in pairs for v in pair)
 
 
 # --- graph construction -----------------------------------------------------------

@@ -1,13 +1,18 @@
 import itertools
+import json
 import random
+import tempfile
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import balex
-from balex.errors import CapacityError, ParameterError
+from balex.errors import BalexError, CapacityError, FormatError, ParameterError
 from balex.exact import le_scaled_sqrt
 from balex.graphs import BalanceParams, ExtractorGraph, PrefixView
 from balex.listamp import (
@@ -493,3 +498,51 @@ def test_list_file_round_trip(tmp_path, table_graph):
     assert header["graph_digest"] == digest
     assert header["x"] == "b"
     assert elements == list(alist.elements)
+
+
+@pytest.mark.parametrize("content", [
+    b"[1]\n0\n",                   # header not an object
+    b'{"n": "8"}\n0\n',             # n not an integer
+    b'{"n": 8}\n0\n\xff\xfe\n',      # not UTF-8
+    b'{"n": true}\n0\n',
+    b'{"n": 65}\n0\n',              # n outside 1..64
+    b'{"degree": 8}\n0\n',          # no n
+    b"{not json\n",
+    b"",
+])
+def test_load_list_refuses_malformed_header(tmp_path, content):
+    path = tmp_path / "list.txt"
+    path.write_bytes(content)
+    with pytest.raises(FormatError):
+        balex.listamp.load_list(path)
+
+
+def _list_file_bytes():
+    """Mostly a valid header with hex elements, each part sometimes garbage; or raw bytes."""
+    value = st.one_of(
+        st.integers(-2, 70), st.integers(), st.text(max_size=3), st.none(), st.booleans(),
+        st.floats(allow_nan=False), st.lists(st.integers(0, 3), max_size=2),
+    )
+    valid = st.fixed_dictionaries({"n": st.integers(1, 10), "degree": st.integers(1, 8)})
+    header = st.one_of(
+        valid, valid, st.fixed_dictionaries({"n": value}), value,
+    ).map(json.dumps).map(str.encode)
+    hex_line = st.integers(0, 1023).map(lambda v: f"{v:x}".encode())
+    line = st.one_of(hex_line, hex_line, st.binary(max_size=4))
+    structured = st.tuples(header, st.lists(line, max_size=4)).map(
+        lambda t: b"\n".join([t[0], *t[1]]))
+    return st.one_of(structured, structured, st.binary(max_size=60))
+
+
+@settings(max_examples=100)
+@given(data=_list_file_bytes())
+def test_load_list_bytes_give_list_or_balex_error(data):
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "list.txt"
+        path.write_bytes(data)
+        try:
+            header, elements = balex.listamp.load_list(path)
+        except BalexError:
+            return
+    assert isinstance(header, dict) and 1 <= header["n"] <= 64
+    assert all(0 <= e < 1 << header["n"] for e in elements)

@@ -14,6 +14,7 @@ from balex.errors import (
     FormatError,
     InvariantError,
     OracleRefusalError,
+    ParameterError,
 )
 from balex.oracles import (
     DEFAULT_STEP_BUDGET,
@@ -160,6 +161,17 @@ def test_explicit_oracle_passthrough():
 def test_explicit_oracle_counting_rejection():
     with pytest.raises(InvariantError):
         balex.explicit_oracle({(4, 1): set(range(4))})  # 4 >= 2^2
+
+
+@pytest.mark.parametrize("k", [-1, -2, -5])
+def test_negative_level_refused_by_every_counting_check(k):
+    with pytest.raises(ParameterError, match=f"k={k} must be >= 0"):
+        balex.explicit_oracle({(4, k): set()})
+    for oracle in (balex.compressor_oracle(), balex.ToyMachineOracle(program_length_cap=6)):
+        with pytest.raises(ParameterError):
+            balex.bset(4, k, oracle)
+    with pytest.raises(ParameterError):
+        balex.compressor_oracle().members(4, k)
 
 
 def test_explicit_oracle_downward_closure_config():
