@@ -137,6 +137,12 @@ class LinearFamily:
     kind = "linear"
 
     def __init__(self, n: int, d: int, expansion: SeedExpansion):
+        table = getattr(expansion, "_table", None)
+        # fewer than 2^d rows, compared without building 2^d: a file's d may be 2^32 - 1
+        if table is not None and len(table).bit_length() <= d:
+            raise ParameterError(
+                f"external table covers {len(table)} edge labels, a d={d} graph has 2^{d}"
+            )
         self.n = n
         self.d = d
         self.expansion = expansion

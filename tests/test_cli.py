@@ -142,6 +142,21 @@ def test_linear_header_widths_exit_two(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_short_external_table_exits_two_at_load(tmp_path, capsys):
+    from balex.lineargraph import save_pair_table
+    from test_graphs import linear_file_with
+
+    table = tmp_path / "pairs.json"
+    save_pair_table(table, 8, 8, [[(1, i + 1) for i in range(8)]])
+    path = tmp_path / "short.bgex"
+    path.write_bytes(linear_file_with(header=(12, 4, 8), id="external", table=str(table)))
+    capsys.readouterr()
+    assert run_cli("verify", "--graph", path, "--epsilon", "1/2") == 2
+    assert capsys.readouterr().err == (
+        "error: linear descriptor: external table covers 1 edge labels, a d=4 graph has 2^4\n"
+    )
+
+
 # --- build-random -------------------------------------------------------------
 
 

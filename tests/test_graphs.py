@@ -389,6 +389,47 @@ def test_linear_descriptor_json_gives_graph_or_balex_error(pair_table, data):
     assert 0 <= graph.ext_eval(0xABC, 15) < 1 << 8
 
 
+def _overwrite(data, edits, header, cut, tail):
+    """``data`` with bytes overwritten, (n, d, m) header fields replaced, cut (unless
+    ``cut`` is None) and extended."""
+    buf = bytearray(data)
+    for pos, byte in edits:
+        buf[pos % len(buf)] = byte
+    for field, value in header:
+        struct.pack_into("<I", buf, 6 + 4 * field, value)
+    return bytes(buf[:cut]) + tail
+
+
+def _bgex_bytes(valid_files):
+    """Arbitrary bytes, or a valid table or linear file with its header or body garbled."""
+    garbled = st.builds(
+        _overwrite,
+        st.sampled_from(valid_files),
+        st.lists(st.tuples(st.integers(0, 200), st.integers(0, 255)), max_size=3),
+        st.lists(st.tuples(st.integers(0, 2), st.one_of(st.integers(0, 70),
+                                                        st.integers(0, 2**32 - 1))), max_size=2),
+        st.one_of(st.none(), st.integers(0, 300)),
+        st.one_of(st.just(b""), st.binary(max_size=8)),
+    )
+    headers = st.builds(
+        lambda head, tag, body: BGEX_MAGIC + struct.pack("<HIII", 1, *head) + bytes([tag]) + body,
+        st.tuples(*[st.integers(0, 70)] * 3), st.integers(0, 2), st.binary(max_size=40))
+    return st.one_of(st.binary(max_size=40), headers, garbled, garbled)
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_bgex_bytes_give_graph_or_balex_error(table_graph, data):
+    valid = [balex.serialize(table_graph), linear_file_with(), linear_file_with(header=(64, 1, 64))]
+    blob = data.draw(_bgex_bytes(valid))
+    try:
+        graph = balex.deserialize(blob)
+    except BalexError:
+        return
+    assert isinstance(graph, ExtractorGraph)
+    assert 0 <= graph.ext_eval(0, 0) < 1 << graph.m
+
+
 def test_save_load_graph(tmp_path, table_graph):
     path = tmp_path / "g.bgex"
     balex.save_graph(table_graph, path)

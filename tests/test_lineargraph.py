@@ -74,6 +74,19 @@ def test_external_expansion_bad_files(tmp_path):
         SeedExpansion("external", s=3, m=2, table_path=str(mismatched))
 
 
+def test_external_table_short_of_edge_labels_refused_at_build(tmp_path):
+    from test_graphs import linear_file_with
+
+    path = tmp_path / "pairs.json"
+    save_pair_table(path, s=8, m=8, pairs=[[(1, i + 1) for i in range(8)]])
+    exp = SeedExpansion("external", s=8, m=8, table_path=str(path))
+    assert balex.linear_graph(n=12, d=0, expansion=exp).degree == 1
+    with pytest.raises(ParameterError, match="covers 1 edge labels, a d=4 graph has 2"):
+        balex.linear_graph(n=12, d=4, expansion=exp)
+    with pytest.raises(FormatError, match="covers 1 edge labels"):
+        balex.deserialize(linear_file_with(id="external", table=str(path)))
+
+
 @pytest.mark.parametrize("content", [
     b"[1]",                                            # not a JSON object
     b'{"s": 3, "m": 2, "pairs": 5}',                   # pairs not a list

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import tempfile
@@ -257,6 +258,70 @@ def test_compressor_fixed_width_refusals_match_per_string_parse():
             else:
                 assert oracle.members(n, k) == want
     assert refusals
+
+
+# --- the walk that stops at prefixes over k, against the per-string parse ----------
+
+
+@functools.lru_cache(maxsize=None)
+def _per_string_costs(n, fixed_index_bits):
+    return tuple(lz_cost(x, n, fixed_index_bits) for x in range(1 << n))
+
+
+def _members_or_refusal(oracle, n, k):
+    try:
+        return oracle.members(n, k)
+    except OracleRefusalError:
+        return "refused"
+
+
+def _filter_or_refusal(costs, k):
+    want = frozenset(x for x, cost in enumerate(costs) if cost <= k)
+    return "refused" if len(want) >= 1 << (k + 1) else want
+
+
+@pytest.mark.parametrize("fixed_index_bits", [1, 2, 3])
+def test_compressor_fixed_width_members_at_n14_match_per_string_parse(fixed_index_bits):
+    n = 14
+    costs = _per_string_costs(n, fixed_index_bits)
+    oracle = balex.compressor_oracle(fixed_index_bits=fixed_index_bits)
+    outcomes = [_members_or_refusal(oracle, n, k) for k in range(max(costs) + 2)]
+    assert outcomes == [_filter_or_refusal(costs, k) for k in range(max(costs) + 2)]
+    # only 1-bit indices undercount enough at n=14 to break the counting bound
+    assert ("refused" in outcomes) == (fixed_index_bits == 1)
+    assert any(outcome != "refused" and outcome for outcome in outcomes)
+
+
+def test_compressor_members_at_n18_match_full_walk_at_lowest_levels():
+    n = 18
+    costs = lz_dictionary_costs(n)
+    oracle = balex.compressor_oracle()
+    for k in sorted(set(costs))[:3]:
+        want = frozenset(x for x, cost in enumerate(costs) if cost <= k)
+        assert want and oracle.members(n, k) == want
+
+
+@given(
+    n=st.integers(1, 12),
+    k_share=st.fractions(0, 1),
+    fixed_index_bits=st.one_of(st.none(), st.integers(0, 4)),
+)
+def test_compressor_members_match_per_string_filter_or_refuse(n, k_share, fixed_index_bits):
+    k = math.floor(k_share * 3 * n)
+    oracle = balex.compressor_oracle(fixed_index_bits=fixed_index_bits)
+    want = _filter_or_refusal(_per_string_costs(n, fixed_index_bits), k)
+    assert _members_or_refusal(oracle, n, k) == want
+
+
+@pytest.mark.parametrize("call", [
+    lambda: balex.compressor_oracle(fixed_index_bits=-1).members(4, 3),
+    lambda: lz_dictionary_costs(4, -1),
+    lambda: lz_dictionary_cost(5, 4, -2),
+])
+def test_compressor_refuses_negative_index_width(call):
+    # a negative width would make costs fall as bits are added
+    with pytest.raises(ParameterError, match="index width"):
+        call()
 
 
 def test_compressor_capacity():
