@@ -9,7 +9,8 @@ Hex I/O zero-pads to ``ceil(L/4)`` digits; the length is always carried by the
 surrounding context (file header, CLI flag), never by the hex text itself.
 
 Text inputs are parsed here too, malformed ones raising ``FormatError``:
-``json_object`` is the one JSON parser, and ``*_hex_file`` the B-set and list codec.
+``json_object`` is the one JSON parser, ``compact_json`` the one compact
+writer, and ``*_hex_file`` the B-set and list codec.
 """
 
 from __future__ import annotations
@@ -27,6 +28,11 @@ def check_bits(value: int, length: int, what: str = "value") -> int:
     if value < 0 or value >> length:
         raise ShapeError(f"{what}: {value:#x} does not fit in {length} bits")
     return value
+
+
+def sorted_bits(values, length: int, what: str) -> list[int]:
+    """The values, each checked as a ``length``-bit string first, distinct and ascending."""
+    return sorted({check_bits(value, length, what) for value in values})
 
 
 def to_hex(value: int, length: int) -> str:
@@ -47,6 +53,12 @@ def to_bits(value: int, length: int) -> str:
     """Binary rendering, mostly for error messages and debugging."""
     check_bits(value, length, "to_bits")
     return format(value, f"0{length}b") if length else ""
+
+
+def compact_json(doc) -> str:
+    """Key-sorted JSON without spaces, as hex-file headers, graph descriptors and
+    expansion tables are written."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def json_object(text: str | bytes, what: str) -> dict:
@@ -72,7 +84,7 @@ def read_text(path, what: str) -> str:
 def write_hex_file(path, header: dict, values, n: int) -> None:
     """A compact, key-sorted JSON header line, then each value as n-bit hex."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
+        fh.write(compact_json(header) + "\n")
         fh.writelines(to_hex(value, n) + "\n" for value in values)
 
 

@@ -149,22 +149,8 @@ class Gf2Matrix:
         return Gf2Matrix(self.rows[:keep], self.cols)
 
     def rank(self) -> int:
-        work = list(self.rows)
-        rank = 0
-        for bit in range(self.cols - 1, -1, -1):
-            pivot = None
-            for i in range(rank, len(work)):
-                if (work[i] >> bit) & 1:
-                    pivot = i
-                    break
-            if pivot is None:
-                continue
-            work[rank], work[pivot] = work[pivot], work[rank]
-            for i in range(len(work)):
-                if i != rank and (work[i] >> bit) & 1:
-                    work[i] ^= work[rank]
-            rank += 1
-        return rank
+        """Columns minus the kernel dimension, from the one elimination in ``solve_affine``."""
+        return self.cols - solve_affine(self, 0).dim
 
 
 @dataclass(frozen=True)

@@ -316,8 +316,9 @@ def deserialize(data: bytes) -> ExtractorGraph:
             values |= raw[:, i].astype(values.dtype) << 8 * i
         return ExtractorGraph(n, d, m, table=values)
     if tag == _BACKEND_LINEAR:
-        if not (1 <= n <= 64 and 1 <= m <= 64):
-            raise FormatError(f"linear graph of n={n}, m={m} bits outside 1..64")
+        from .lineargraph import check_linear_widths, family_from_descriptor
+
+        check_linear_widths(n, m, FormatError)
         if len(payload) < 4:
             raise FormatError("truncated linear descriptor")
         (desc_len,) = struct.unpack_from("<I", payload, 0)
@@ -326,8 +327,6 @@ def deserialize(data: bytes) -> ExtractorGraph:
             raise FormatError(
                 f"descriptor length field says {desc_len}, payload has {len(body)} bytes"
             )
-        from .lineargraph import family_from_descriptor
-
         family = family_from_descriptor(json_object(body, "linear descriptor"), n=n, d=d)
         if family.m != m:
             raise FormatError(f"descriptor produces {family.m}-bit outputs, header says m={m}")

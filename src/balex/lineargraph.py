@@ -23,7 +23,6 @@ integers, each reduced to the low s bits.
 from __future__ import annotations
 
 import hashlib
-import json
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,11 +30,12 @@ from math import ceil, isfinite, log2
 
 import numpy as np
 
-from .bitstrings import check_bits, json_object, read_text
+from .bitstrings import check_bits, compact_json, json_object, read_text
 from .errors import CapacityError, FormatError, IndexRangeError, InvariantError, ParameterError
 from .exact import ceil_log2, ceil_scaled_sqrt
 from .gf2 import AffineSpace, Field2s, Gf2Matrix, field_make, row_assemble, solve_affine
 from .graphs import _BACKEND_LINEAR, MAX_TABLE_BITS, ExtractorGraph, _entry_dtype
+from .randgraph import table_rng
 
 COUNTER_SCHEME = "counter"
 EXTERNAL_SCHEME = "external"
@@ -127,8 +127,13 @@ def save_pair_table(path, s: int, m: int, pairs: list[list[tuple[int, int]]]) ->
     """Write an external-expansion table file."""
     doc = {"s": s, "m": m, "pairs": [[[p, h] for p, h in rows] for rows in pairs]}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(compact_json(doc) + "\n")
+
+
+def check_linear_widths(n: int, m: int, error: type[Exception] = ParameterError) -> None:
+    """Refuse a linear graph whose n or m falls outside 1..64."""
+    if not (1 <= n <= 64 and 1 <= m <= 64):
+        raise error(f"linear graph of n={n}, m={m} bits outside 1..64")
 
 
 class LinearFamily:
@@ -137,6 +142,7 @@ class LinearFamily:
     kind = "linear"
 
     def __init__(self, n: int, d: int, expansion: SeedExpansion):
+        check_linear_widths(n, expansion.m)
         table = getattr(expansion, "_table", None)
         # fewer than 2^d rows, compared without building 2^d: a file's d may be 2^32 - 1
         if table is not None and len(table).bit_length() <= d:
@@ -216,9 +222,7 @@ class LinearFamily:
         return out
 
     def payload(self) -> bytes:
-        descriptor = json.dumps(
-            self.descriptor(), sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
+        descriptor = compact_json(self.descriptor()).encode("utf-8")
         return bytes([_BACKEND_LINEAR]) + struct.pack("<I", len(descriptor)) + descriptor
 
 
@@ -322,6 +326,7 @@ def linearity_check(
     images, which is equivalent to full additivity); sampled pairs otherwise.
     """
     family = graph.family
+    rng = table_rng(seed)
     if graph.ext_eval(0, y) != 0:
         return False
     n = graph.n
@@ -331,7 +336,6 @@ def linearity_check(
             if graph.ext_eval(x, y) != int(filled[x]):
                 return False
         return True
-    rng = np.random.Generator(np.random.Philox(key=seed))
     for _ in range(trials):
         x1 = int(rng.integers(0, 1 << n, dtype=np.uint64))
         x2 = int(rng.integers(0, 1 << n, dtype=np.uint64))
@@ -395,6 +399,7 @@ def delta_guarantee(
     family = graph.family
     if Delta < 1:
         raise ParameterError(f"Delta must be positive, got {Delta}")
+    rng = table_rng(seed)
     view = graph.prefix_view(t)
     m_t = view.m_k
     free = graph.n - m_t
@@ -402,7 +407,6 @@ def delta_guarantee(
         return Delta <= 1
     if (1 << free) < Delta:
         return False
-    rng = np.random.Generator(np.random.Philox(key=seed))
     for _ in range(samples):
         y = int(rng.integers(0, graph.degree))
         x = int(rng.integers(0, 1 << graph.n, dtype=np.uint64))

@@ -20,7 +20,7 @@ from itertools import compress
 
 import numpy as np
 
-from .bitstrings import check_bits, read_hex_file, to_hex, write_hex_file
+from .bitstrings import check_bits, read_hex_file, sorted_bits, to_hex, write_hex_file
 from .errors import IndexRangeError, InvariantError, ParameterError
 from .exact import ceil_scaled_sqrt, le_scaled_sqrt
 from .graphs import BalanceParams, ExtractorGraph, PrefixView
@@ -44,17 +44,11 @@ def survival_ok(fraction: Fraction, epsilon: Fraction) -> bool:
     return le_scaled_sqrt(1 - Fraction(fraction), Fraction(2), Fraction(epsilon))
 
 
-def _checked_members(n: int, B) -> list[int]:
-    members = sorted(set(B))
-    for x in members:
-        check_bits(x, n, "member of B")
-    return members
-
-
 def _classify(
     view: PrefixView, members: list[int], epsilon: Fraction
-) -> tuple[np.ndarray, np.ndarray]:
-    """Member rows of a non-empty, checked B and the heavy flag of every right node.
+) -> tuple[np.ndarray, np.ndarray, Fraction]:
+    """Member rows of a non-empty, checked B, the heavy flag of every right
+    node, and the light threshold that decided the flags.
 
     The right side is tallied node by node, so it must fit the right-side
     budget.  Counts are integers, so a count exceeds the threshold exactly
@@ -75,7 +69,7 @@ def _classify(
         raise InvariantError(
             f"heavy set of size {heavy_size} exceeds eps*|R| = {epsilon * view.r_size}"
         )
-    return rows, is_heavy
+    return rows, is_heavy, threshold
 
 
 def _heavy_nodes(is_heavy: np.ndarray) -> frozenset[int]:
@@ -88,7 +82,7 @@ def _bad(
     """Members whose heavy hits reach sqrt(eps) * D, counted by one flag lookup per edge.
 
     Hits are integers, so hits >= D * sqrt(eps) exactly when hits >= g, the
-    least such integer; g is found once by the squaring of ``ge_scaled_sqrt``.
+    least such integer; g is found once, exactly, by ``ceil_scaled_sqrt``.
     """
     g = ceil_scaled_sqrt(rows.shape[1], epsilon)
     bad = is_heavy[rows].sum(axis=1) >= g
@@ -97,7 +91,7 @@ def _bad(
 
 def classify_heavy(view: PrefixView, B, epsilon: Fraction) -> frozenset[int]:
     """Right nodes whose B-restricted degree exceeds the light threshold."""
-    members = _checked_members(view.graph.n, B)
+    members = sorted_bits(B, view.graph.n, "member of B")
     if not members:
         return frozenset()
     return _heavy_nodes(_classify(view, members, epsilon)[1])
@@ -105,11 +99,11 @@ def classify_heavy(view: PrefixView, B, epsilon: Fraction) -> frozenset[int]:
 
 def bad_set(view: PrefixView, B, epsilon: Fraction) -> frozenset[int]:
     """Members of B with at least a sqrt(eps) fraction of their edges on heavy nodes."""
-    members = _checked_members(view.graph.n, B)
+    members = sorted_bits(B, view.graph.n, "member of B")
     if not members:
         return frozenset()
     epsilon = Fraction(epsilon)
-    rows, is_heavy = _classify(view, members, epsilon)
+    rows, is_heavy, _ = _classify(view, members, epsilon)
     return _bad(members, rows, is_heavy, epsilon)
 
 
@@ -153,7 +147,7 @@ def congestion_report(
     graph: ExtractorGraph, B, epsilon: Fraction, t: int
 ) -> CongestionReport:
     """Classify B in the prefix graph at s = floor(log2 |B|); requires s <= t."""
-    members = _checked_members(graph.n, B)
+    members = sorted_bits(B, graph.n, "member of B")
     if not members:
         raise ParameterError("congestion analysis needs a non-empty B")
     s = len(members).bit_length() - 1
@@ -164,14 +158,14 @@ def congestion_report(
         )
     view = graph.prefix_view(s)
     epsilon = Fraction(epsilon)
-    rows, is_heavy = _classify(view, members, epsilon)
+    rows, is_heavy, threshold = _classify(view, members, epsilon)
     return CongestionReport(
         n=graph.n,
         right_bits=view.m_k,
         b_size=len(members),
         s=s,
         epsilon=epsilon,
-        threshold=light_threshold(epsilon, len(members), graph.degree, view.r_size),
+        threshold=threshold,
         heavy_set=_heavy_nodes(is_heavy),
         bad_set=_bad(members, rows, is_heavy, epsilon),
     )

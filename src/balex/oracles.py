@@ -40,7 +40,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bitstrings import check_bits, read_hex_file, write_hex_file
+from .bitstrings import check_bits, read_hex_file, sorted_bits, write_hex_file
 from .errors import CapacityError, FormatError, InvariantError, OracleRefusalError, ParameterError
 
 PUSH0, PUSH1, DUP, DROP, OUT, LOOP, END, HALT = range(8)
@@ -53,11 +53,12 @@ MAX_BSET_BITS = 24
 INFINITE = math.inf
 
 
-def counting_bound(k: int) -> int:
-    """2^(k+1): every set {x : complexity(x) <= k} has fewer members."""
+def breaks_counting_bound(count: int, k: int) -> bool:
+    """Whether count >= 2^(k+1), the bound every set {x : complexity(x) <= k}
+    stays below; decided by bit length, so 2^(k+1) is never formed."""
     if k < 0:
         raise ParameterError(f"complexity level k={k} must be >= 0")
-    return 1 << (k + 1)
+    return count.bit_length() > k + 1
 
 
 def _decode_opcodes(program: int, length: int) -> list[int] | None:
@@ -254,10 +255,8 @@ def explicit_oracle(sets: dict, require_monotone: bool = False) -> ExplicitOracl
     """
     checked: dict[tuple[int, int], frozenset[int]] = {}
     for (n, k), mem in sets.items():
-        members = frozenset(mem)
-        for x in members:
-            check_bits(x, n, f"member of injected ({n},{k}) set")
-        if len(members) >= counting_bound(k):
+        members = frozenset(sorted_bits(mem, n, f"member of injected ({n},{k}) set"))
+        if breaks_counting_bound(len(members), k):
             raise InvariantError(
                 f"injected set for (n={n}, k={k}) has {len(members)} members, "
                 f"breaking the < 2^{k + 1} counting bound"
@@ -402,15 +401,19 @@ class CompressorOracle(ComplexityOracle):
             raise CapacityError(
                 f"enumerating 2^{n} strings exceeds this oracle's 2^{self.max_n} budget"
             )
-        found: dict[int, int] = {}
-        _lz_walk(n, self.fixed_index_bits, k, found.__setitem__)
-        out = frozenset(found)
-        if len(out) >= counting_bound(k):
-            raise OracleRefusalError(
-                f"compressor proxy puts {len(out)} strings of length {n} at or "
-                f"below {k} bits, breaking the < 2^{k + 1} counting bound"
-            )
-        return out
+        breaks_counting_bound(0, k)  # refuses k < 0 before the walk
+        found: list[int] = []
+
+        def record(value: int, _cost: int) -> None:
+            found.append(value)
+            if breaks_counting_bound(len(found), k):
+                raise OracleRefusalError(
+                    f"compressor proxy puts at least {len(found)} strings of length {n} "
+                    f"at or below {k} bits, breaking the < 2^{k + 1} counting bound"
+                )
+
+        _lz_walk(n, self.fixed_index_bits, k, record)
+        return frozenset(found)
 
     def caps_info(self) -> dict:
         return {"fixed_index_bits": self.fixed_index_bits, "max_n": self.max_n}
@@ -443,7 +446,7 @@ def bset(n: int, k: int, oracle: ComplexityOracle, max_n: int = MAX_BSET_BITS) -
     if n > max_n:
         raise CapacityError(f"n={n} exceeds the enumeration budget n<={max_n}")
     members = oracle.members(n, k)
-    if len(members) >= counting_bound(k):
+    if breaks_counting_bound(len(members), k):
         raise InvariantError(
             f"oracle {oracle.name} yields {len(members)} members for (n={n}, k={k}), "
             f"breaking the < 2^{k + 1} counting bound"
@@ -453,9 +456,7 @@ def bset(n: int, k: int, oracle: ComplexityOracle, max_n: int = MAX_BSET_BITS) -
 
 def explicit_bset(n: int, k: int, members) -> BSet:
     """Wrap an explicit member set (no counting bound enforced)."""
-    mem = frozenset(members)
-    for x in mem:
-        check_bits(x, n, "member")
+    mem = frozenset(sorted_bits(members, n, "member"))
     return BSet(n=n, k=k, members=mem, source="explicit", caps=None)
 
 

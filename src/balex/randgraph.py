@@ -22,8 +22,8 @@ from itertools import chain
 import numpy as np
 
 from . import _kernels
-from .bitstrings import to_hex
-from .errors import BalexError, CapacityError, ParameterError, ShapeError
+from .bitstrings import sorted_bits, to_hex
+from .errors import BalexError, CapacityError, ParameterError
 from .graphs import MAX_TABLE_BITS, ExtractorGraph, PrefixView, _entry_dtype
 
 GENERATOR_ID = "philox4x64:numpy-generator-integers:v1"
@@ -32,7 +32,8 @@ MAX_SAMPLED_LEFT_BITS = 62  # the sampled check draws left nodes below 2^n in in
 
 
 def table_rng(seed: int) -> np.random.Generator:
-    """The package's named table generator: numpy Generator over Philox(key=seed)."""
+    """The package's one seeded generator, for tables, sampled checks and the
+    linear self-checks: numpy Generator over Philox(key=seed)."""
     if not 0 <= seed < 1 << 96:
         raise ParameterError(f"seed {seed} outside [0, 2^96)")
     return np.random.Generator(np.random.Philox(key=seed))
@@ -98,17 +99,27 @@ class VerifyReport:
 def stat_distance(view: PrefixView, B) -> Fraction:
     """Worst-case extractor deviation of B, computed as half the L1 distance
     between B's edge-endpoint distribution and uniform on the right side."""
-    members = sorted(set(B))
+    members = sorted_bits(B, view.graph.n, "member of B")
     if not members:
         raise ParameterError("B must be non-empty")
-    for x in members:
-        if x < 0 or x >> view.graph.n:
-            raise ShapeError(f"left node {x:#x} does not fit in {view.graph.n} bits")
     view.check_right_budget()
-    rows = view.member_rows(members)
-    num = _kernels.deviation_numerator(rows, view.r_size)
-    edges = len(members) * view.graph.degree
-    return Fraction(num, 2 * edges * view.r_size)
+    num = _kernels.deviation_numerator(view.member_rows(members), view.r_size)
+    return _deviation(view, len(members), num)
+
+
+def _deviation(view: PrefixView, b_size: int, num: int) -> Fraction:
+    """The distance whose numerator ``deviation_numerator`` gives for a B of b_size."""
+    return Fraction(num, 2 * b_size * view.graph.degree * view.r_size)
+
+
+def _checked_view(graph: ExtractorGraph, k: int, epsilon) -> tuple[Fraction, PrefixView]:
+    """The verifiers' shared set-up: epsilon >= 0, and the k-prefix view within budget."""
+    epsilon = Fraction(epsilon)
+    if epsilon < 0:
+        raise ParameterError(f"epsilon must be >= 0, got {epsilon}")
+    view = graph.prefix_view(k)
+    view.check_right_budget()
+    return epsilon, view
 
 
 def _heavy_side_witness(rows: np.ndarray, r_size: int) -> tuple[int, ...]:
@@ -139,11 +150,7 @@ def verify_extractor_exact(
     max_subsets: int = DEFAULT_MAX_SUBSETS,
 ) -> VerifyReport:
     """Enumerate every B of size exactly 2^k and bound the worst deviation."""
-    epsilon = Fraction(epsilon)
-    if epsilon < 0:
-        raise ParameterError(f"epsilon must be >= 0, got {epsilon}")
-    view = graph.prefix_view(k)
-    view.check_right_budget()
+    epsilon, view = _checked_view(graph, k, epsilon)
     subset_size = 1 << k
     if _comb_exceeds(1 << graph.n, subset_size, max_subsets):
         raise CapacityError(
@@ -151,7 +158,7 @@ def verify_extractor_exact(
         )
     rows = view.prefixed_rows()
     worst_num, best = _kernels.worst_subset_deviation(rows, subset_size, view.r_size)
-    worst = Fraction(worst_num, 2 * subset_size * graph.degree * view.r_size)
+    worst = _deviation(view, subset_size, worst_num)
     passed = worst <= epsilon
     witness_B = None
     witness_A = None
@@ -179,13 +186,9 @@ def verify_extractor_sampled(
     seed: int,
 ) -> VerifyReport:
     """Monte-Carlo surrogate for the exact check; evidence, not proof."""
-    epsilon = Fraction(epsilon)
-    if epsilon < 0:
-        raise ParameterError(f"epsilon must be >= 0, got {epsilon}")
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
-    view = graph.prefix_view(k)
-    view.check_right_budget()
+    epsilon, view = _checked_view(graph, k, epsilon)
     if graph.n > MAX_SAMPLED_LEFT_BITS:
         raise CapacityError(
             f"sampled check draws left nodes of at most {MAX_SAMPLED_LEFT_BITS} bits, "
@@ -196,7 +199,6 @@ def verify_extractor_sampled(
     rng = table_rng(seed)
     worst_num = -1
     worst_members: np.ndarray | None = None
-    edges = subset_size * graph.degree
     for _ in range(trials):
         members = np.sort(rng.choice(n_left, size=subset_size, replace=False))
         rows = view.member_rows(members.astype(np.int64))
@@ -204,7 +206,7 @@ def verify_extractor_sampled(
         if num > worst_num:
             worst_num = num
             worst_members = members
-    worst = Fraction(worst_num, 2 * edges * view.r_size)
+    worst = _deviation(view, subset_size, worst_num)
     passed = worst <= epsilon
     return VerifyReport(
         kind="extractor-sampled",

@@ -663,3 +663,99 @@ def test_console_script_subprocess_determinism(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+# --- one seed range, wide levels and widths -------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def linear12(tmp_path_factory):
+    """n=12, d=4, m=8 counter graph (a=4), built through the CLI."""
+    out = tmp_path_factory.mktemp("cli") / "lin12.bgex"
+    assert run_cli("build-linear", "--n", 12, "--epsilon", "1/4", "--kappa", 0.02,
+                   "--s", 8, "--seed", 42, "--out", out) == 0
+    return out
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128])
+def test_verify_linear_seed_outside_range_exits_two(linear12, capsys, seed):
+    # no k is checked (12 > 11), so only the delta guarantee draws from the seed
+    code = run_cli("verify", "--graph", linear12, "--epsilon", "1/2", "--k-min", 12,
+                   "--k-max", 11, "--delta-min", 2, "--t", 10, "--seed", seed)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: seed {seed} outside [0, 2^96)\n"
+
+
+def test_congestion_oracle_level_past_machine_integers_exits_two(built, tmp_path, capsys):
+    # every 4-bit string is at or below 2^70 bits, so |B| = 16 and s = 4 > t = 3
+    code = run_cli("congestion", "--graph", built, "--oracle", "compressor", "--k", 2**70,
+                   "--epsilon", "1/2", "--t", 3, "--out", tmp_path / "c.json")
+    assert code == 2
+    assert "exceeds the threshold t = 3" in capsys.readouterr().err
+
+
+def test_build_linear_wider_than_64_bits_exits_two(tmp_path, capsys):
+    out = tmp_path / "big.bgex"
+    code = run_cli("build-linear", "--n", 65, "--epsilon", "1/4", "--kappa", 0.015625,
+                   "--s", 16, "--seed", 9, "--out", out)
+    assert code == 2
+    assert capsys.readouterr().err == "error: linear graph of n=65, m=51 bits outside 1..64\n"
+    assert not out.exists()
+
+
+# --- robustness: every call ends in a documented exit code ----------------------------
+
+HUGE = st.integers(-4, 12) | st.integers(-2**130, 2**130)  # valid values turn up too
+# no k in 2^31..2^63, where code that formed 2^(k+1) would try to allocate it
+LEVEL = st.integers(-5, 80) | st.just(2**70)
+
+
+@pytest.fixture(scope="module")
+def cli_files(built, linear12, tmp_path_factory):
+    return {"table": built, "linear": linear12,
+            "out": tmp_path_factory.mktemp("cli") / "out.json"}
+
+
+def _assert_documented_exit(args):
+    assert run_cli(*args) in (0, 1, 2, 3)
+
+
+@given(kind=st.sampled_from(["table", "linear"]), k_max=st.integers(0, 6),
+       delta_min=HUGE, t=HUGE, seed=HUGE, trials=st.none() | st.integers(-5, 20),
+       budget=st.integers(-5, 10**4))
+def test_cli_verify_ends_in_exit_code(cli_files, kind, k_max, delta_min, t, seed, trials, budget):
+    # k runs from k-min to k-max: none, or on the linear graph k = 5, 6 at most, where
+    # sampled trials are cheap
+    args = ["verify", "--graph", cli_files[kind], "--epsilon", "1/2", "--k-max", k_max,
+            "--delta-min", delta_min, "--t", t, "--seed", seed, "--budget", budget,
+            "--out", cli_files["out"]]
+    args += ["--k-min", 5] if kind == "linear" else []
+    args += [] if trials is None else ["--sampled-trials", trials]
+    _assert_documented_exit(args)
+
+
+@given(kind=st.sampled_from(["table", "linear"]), oracle=st.sampled_from(["compressor", "toy"]),
+       k=LEVEL, t=HUGE)
+def test_cli_congestion_ends_in_exit_code(cli_files, kind, oracle, k, t):
+    _assert_documented_exit(["congestion", "--graph", cli_files[kind], "--oracle", oracle,
+                             "--k", k, "--epsilon", "1/2", "--t", t, "--out", cli_files["out"]])
+
+
+@given(kind=st.sampled_from(["table", "linear"]), t=HUGE, index=st.none() | HUGE,
+       delta_blocks=st.integers(-2, 8), x=st.sampled_from(["0", "b", "5a3", "zz"]),
+       k=st.none() | LEVEL)
+def test_cli_amplify_ends_in_exit_code(cli_files, kind, t, index, delta_blocks, x, k):
+    args = ["amplify", "--graph", cli_files[kind], "--epsilon", "1/2",
+            "--delta-blocks", delta_blocks, "--t", t, "--x", x]
+    args += [] if index is None else ["--index", index]
+    args += [] if k is None else ["--oracle", "compressor", "--k", k]
+    _assert_documented_exit(args)
+
+
+@given(delta_min=HUGE, t=HUGE, seed=HUGE, attempts=st.integers(-2, 3),
+       budget=st.integers(-5, 10**4))
+def test_cli_build_random_ends_in_exit_code(cli_files, delta_min, t, seed, attempts, budget):
+    _assert_documented_exit(["build-random", "--n", 3, "--d", 2, "--m", 3, "--epsilon", "1/2",
+                             "--delta-min", delta_min, "--t", t, "--seed", seed,
+                             "--max-attempts", attempts, "--budget", budget,
+                             "--out", cli_files["out"].with_suffix(".bgex")])

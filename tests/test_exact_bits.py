@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balex.bitstrings import check_bits, from_hex, to_bits, to_hex
+from balex.bitstrings import check_bits, compact_json, from_hex, sorted_bits, to_bits, to_hex
 from balex.errors import ParameterError, ShapeError
 from balex.exact import (
     ceil_log2,
@@ -86,3 +86,19 @@ def test_ceil_log2():
     assert ceil_log2(1025) == 11
     with pytest.raises(ParameterError):
         ceil_log2(0)
+
+
+def test_sorted_bits_checks_every_value_before_sorting():
+    assert sorted_bits([5, 1, 5, 0], 3, "member") == [0, 1, 5]
+    assert sorted_bits(iter(range(4)), 2, "member") == [0, 1, 2, 3]
+    assert sorted_bits([], 3, "member") == []
+    # a mixed-type B is a ShapeError, not the TypeError that sorting it would raise
+    for values in ([3, "a"], [1, 2.0], [[1], 2], [1, True]):
+        with pytest.raises(ShapeError, match="member: expected int"):
+            sorted_bits(values, 4, "member")
+    with pytest.raises(ShapeError, match="member: 0x10 does not fit in 4 bits"):
+        sorted_bits([1, 16], 4, "member")
+
+
+def test_compact_json_is_key_sorted_without_spaces():
+    assert compact_json({"s": 4, "m": [1, 2], "id": "x"}) == '{"id":"x","m":[1,2],"s":4}'

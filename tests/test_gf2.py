@@ -343,3 +343,17 @@ def test_kernel_basis_gives_suffix_order_for_prefix_systems():
 def test_matrix_rank():
     mat = Gf2Matrix((0b110, 0b011, 0b101), 3)
     assert mat.rank() == 2
+
+
+def _rank_by_span(rows: tuple[int, ...]) -> int:
+    """log2 of the number of distinct XORs of the rows, counted directly."""
+    span = {0}
+    for row in rows:
+        span |= {v ^ row for v in span}
+    return len(span).bit_length() - 1
+
+
+@given(cols=st.integers(0, 7), rows=st.lists(st.integers(0, 127), max_size=7))
+def test_matrix_rank_equals_span_dimension(cols, rows):
+    rows = tuple(r & ((1 << cols) - 1) for r in rows)
+    assert Gf2Matrix(rows, cols).rank() == _rank_by_span(rows)

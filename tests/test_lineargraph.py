@@ -380,3 +380,25 @@ def test_member_rows_past_int64_match_neighbors():
     x = 2**63 + 1
     assert view.neighbors(x) == [16426030115067378227, 10017315757147413383]
     assert view.member_rows([x, 5]).tolist() == [view.neighbors(x), view.neighbors(5)]
+
+
+@pytest.mark.parametrize("seed", [-1, 2**96, 2**128])
+def test_linear_self_checks_refuse_seeds_outside_range(linear_graph_12, seed):
+    # both self-checks draw from randgraph.table_rng, so they share its seed range
+    with pytest.raises(ParameterError, match=r"outside \[0, 2\^96\)"):
+        balex.linearity_check(linear_graph_12, y=0, seed=seed)
+    with pytest.raises(ParameterError, match=r"outside \[0, 2\^96\)"):
+        balex.delta_guarantee(linear_graph_12, t=10, Delta=2, seed=seed)
+
+
+def test_linear_widths_refused_before_any_matrix(monkeypatch):
+    from balex import lineargraph
+
+    def no_matrix(*args):
+        raise AssertionError("assembled a matrix for a graph wider than 64 bits")
+
+    monkeypatch.setattr(lineargraph, "row_assemble", no_matrix)
+    for n, m in ((65, 51), (12, 65), (0, 4)):
+        expansion = SeedExpansion("counter", s=16, m=m, seed=9)
+        with pytest.raises(ParameterError, match="outside 1..64"):
+            balex.linear_graph(n=n, d=4, expansion=expansion)

@@ -546,3 +546,18 @@ def test_load_list_bytes_give_list_or_balex_error(data):
             return
     assert isinstance(header, dict) and 1 <= header["n"] <= 64
     assert all(0 <= e < 1 << header["n"] for e in elements)
+
+
+def test_b_set_readers_refuse_mixed_types_with_shape_error(sharp_graph):
+    from balex.errors import ShapeError
+
+    view = sharp_graph.prefix_view(2)
+    for call in (
+        lambda B: balex.congestion_report(sharp_graph, B, Fraction(1, 16), t=4),
+        lambda B: balex.classify_heavy(view, B, Fraction(1, 16)),
+        lambda B: balex.bad_set(view, B, Fraction(1, 16)),
+    ):
+        with pytest.raises(ShapeError, match="member of B: expected int"):
+            call([1, "a", 2])
+        with pytest.raises(ShapeError, match="member of B: 0x10 does not fit"):
+            call([1, 16])

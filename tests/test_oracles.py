@@ -395,3 +395,45 @@ def test_load_bset_bytes_give_bset_or_balex_error(data):
             return
     assert isinstance(b, BSet) and 1 <= b.n <= 64
     assert all(0 <= x < 1 << b.n for x in b.members)
+
+
+# --- counting bound by bit length --------------------------------------------------------
+
+
+def test_counting_bound_compares_by_bit_length():
+    from balex.oracles import breaks_counting_bound
+
+    for k in range(0, 12):
+        for count in range(0, (1 << (k + 1)) + 3):
+            assert breaks_counting_bound(count, k) == (count >= 1 << (k + 1))
+    # a level whose 2^(k+1) could not be formed
+    assert not breaks_counting_bound(2**64, 2**70)
+    assert breaks_counting_bound(2**72, 70)
+    with pytest.raises(ParameterError, match="k=-1 must be >= 0"):
+        breaks_counting_bound(0, -1)
+
+
+def test_compressor_refusal_stops_at_the_bound():
+    # width 0 puts every string at cost 0: the walk stops at the 64th member
+    oracle = balex.compressor_oracle(fixed_index_bits=0)
+    with pytest.raises(OracleRefusalError, match="puts at least 64 strings of length 20 at or below 5"):
+        oracle.members(20, 5)
+    with pytest.raises(OracleRefusalError, match="puts at least 2 strings of length 3 at or below 0"):
+        oracle.members(3, 0)
+
+
+def test_oracles_take_levels_past_machine_integers():
+    k = 2**70
+    assert balex.compressor_oracle().members(4, k) == frozenset(range(16))
+    assert balex.bset(4, k, balex.compressor_oracle()).members == frozenset(range(16))
+    explicit = balex.explicit_oracle({(4, k): {1, 2}})
+    assert explicit.members(4, k) == {1, 2}
+
+
+def test_explicit_sets_check_members_before_hashing_them():
+    from balex.errors import ShapeError
+
+    with pytest.raises(ShapeError, match=r"member of injected \(4,2\) set: expected int"):
+        balex.explicit_oracle({(4, 2): [1, [2]]})
+    with pytest.raises(ShapeError, match="member: expected int, got list"):
+        balex.oracles.explicit_bset(4, 2, [[1], 2])

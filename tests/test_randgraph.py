@@ -395,3 +395,14 @@ def test_verify_report_to_dict(table_graph):
     assert "/" in doc["worst_deviation"] or doc["worst_deviation"] == "0"
     record = AttemptRecord(index=0, seed=3, min_degree=5, worst_by_k={1: Fraction(1, 4)})
     assert record.to_dict()["worst_by_k"] == {"1": "1/4"}
+
+
+def test_stat_distance_checks_members_like_every_b_set_reader(table_graph):
+    from balex.errors import ShapeError
+
+    view = table_graph.prefix_view(2)
+    with pytest.raises(ShapeError, match="member of B: 0x10 does not fit in 4 bits"):
+        balex.stat_distance(view, [1, 16])
+    with pytest.raises(ShapeError, match="member of B: expected int"):
+        balex.stat_distance(view, [1, "2"])
+    assert balex.stat_distance(view, [3, 1, 3]) == balex.stat_distance(view, [1, 3])
